@@ -1,21 +1,21 @@
 //! E12 — intra-query parallel execution (`pq-exec`): four workloads at
 //! 1/2/4/8 threads. The reproduction target is the *shape*: identical
 //! answers at every degree, near-flat cost on a single core (the morsel
-//! machinery must not tax the serial path), and speedup proportional to
+//! machinery must not tax the degree-1 pool), and speedup proportional to
 //! physical cores when they exist.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pq_bench::workloads::{chain_database, chain_query, clique_instance, dag_database, tc_program};
 use pq_engine::colorcoding::{self, ColorCodingOptions};
 use pq_engine::datalog_eval::{self, Strategy};
-use pq_engine::governor::SharedContext;
 use pq_engine::{naive, yannakakis, ExecutionContext};
 use pq_exec::Pool;
 
 const DEGREES: [usize; 4] = [1, 2, 4, 8];
 
-fn shared() -> SharedContext {
-    ExecutionContext::unlimited().into_shared()
+/// A fresh unlimited context fanning out on `pool`.
+fn ctx(pool: &Pool) -> ExecutionContext {
+    ExecutionContext::new().with_pool(pool.clone())
 }
 
 fn clique_join(c: &mut Criterion) {
@@ -26,7 +26,7 @@ fn clique_join(c: &mut Criterion) {
         let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
-                naive::evaluate_parallel(&q, &db, &shared(), &pool)
+                naive::evaluate_governed(&q, &db, &ctx(&pool))
                     .unwrap()
                     .len()
             })
@@ -44,7 +44,7 @@ fn acyclic_path(c: &mut Criterion) {
         let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
-                yannakakis::evaluate_parallel(&q, &db, Default::default(), &shared(), &pool)
+                yannakakis::evaluate_governed(&q, &db, &ctx(&pool))
                     .unwrap()
                     .len()
             })
@@ -64,7 +64,7 @@ fn color_coding_trials(c: &mut Criterion) {
         let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
-                colorcoding::evaluate_parallel(&q, &db, &opts, &shared(), &pool)
+                colorcoding::evaluate_governed(&q, &db, &opts, &ctx(&pool))
                     .unwrap()
                     .len()
             })
@@ -82,7 +82,7 @@ fn datalog_tc(c: &mut Criterion) {
         let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
-                datalog_eval::evaluate_parallel(&p, &db, Strategy::SemiNaive, &shared(), &pool)
+                datalog_eval::evaluate_governed(&p, &db, Strategy::SemiNaive, &ctx(&pool))
                     .unwrap()
                     .len()
             })

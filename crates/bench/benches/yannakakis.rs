@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pq_bench::workloads::{chain_database, chain_query};
 use pq_engine::naive;
 use pq_engine::yannakakis::{self, EvalOptions};
+use pq_engine::ExecutionContext;
 
 fn chain_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("yannakakis/chain_vs_naive");
@@ -48,7 +49,8 @@ fn ablation_a3_downward_pass(c: &mut Criterion) {
         };
         group.bench_function(label, |b| {
             b.iter(|| {
-                yannakakis::evaluate_with_options(&q, &db, opts)
+                let ctx = ExecutionContext::unlimited();
+                yannakakis::evaluate_with_options_governed(&q, &db, opts, &ctx)
                     .unwrap()
                     .len()
             })

@@ -728,11 +728,10 @@ fn service_exp() {
 // -------------------------------------------------------------- parallel --
 
 /// E12: intra-query parallel execution — four workloads at 1/2/4/8 threads,
-/// answers checked byte-identical to the serial engines at every degree.
+/// answers checked byte-identical to the degree-1 run at every degree.
 /// Speedup is bounded by physical cores; on a single-core box the target is
 /// "no worse than serial", and the determinism checks are the point.
 fn parallel_exp() {
-    use pq_engine::governor::SharedContext;
     use pq_engine::naive_indexed;
     use pq_engine::ExecutionContext;
     use pq_exec::Pool;
@@ -741,9 +740,9 @@ fn parallel_exp() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     println!("\n  physical parallelism available: {cores} core(s)");
     println!("  (speedup at d threads is capped by min(d, cores); answers are");
-    println!("   checked identical to the serial engine at every degree)\n");
+    println!("   checked identical to the 1-thread run at every degree)\n");
 
-    let shared = || -> SharedContext { ExecutionContext::unlimited().into_shared() };
+    let ctx = |p: &Pool| ExecutionContext::new().with_pool(p.clone());
     let degrees = [1usize, 2, 4, 8];
 
     // Workload 1: cyclic clique join on the naive indexed engine.
@@ -765,7 +764,7 @@ fn parallel_exp() {
         (
             "clique join (naive indexed)",
             Box::new(|p: &Pool| {
-                naive_indexed::evaluate_parallel(&cq, &cdb, &shared(), p)
+                naive_indexed::evaluate_governed(&cq, &cdb, &ctx(p))
                     .unwrap()
                     .len()
             }),
@@ -773,7 +772,7 @@ fn parallel_exp() {
         (
             "acyclic chain (yannakakis)",
             Box::new(|p: &Pool| {
-                yannakakis::evaluate_parallel(&yq, &ydb, Default::default(), &shared(), p)
+                yannakakis::evaluate_governed(&yq, &ydb, &ctx(p))
                     .unwrap()
                     .len()
             }),
@@ -781,7 +780,7 @@ fn parallel_exp() {
         (
             "chain with != (color coding)",
             Box::new(|p: &Pool| {
-                colorcoding::evaluate_parallel(&nq, &ndb, &cc, &shared(), p)
+                colorcoding::evaluate_governed(&nq, &ndb, &cc, &ctx(p))
                     .unwrap()
                     .len()
             }),
@@ -789,7 +788,7 @@ fn parallel_exp() {
         (
             "transitive closure (datalog)",
             Box::new(|p: &Pool| {
-                datalog_eval::evaluate_parallel(&tp, &tdb, Strategy::SemiNaive, &shared(), p)
+                datalog_eval::evaluate_governed(&tp, &tdb, Strategy::SemiNaive, &ctx(p))
                     .unwrap()
                     .len()
             }),
@@ -1311,10 +1310,8 @@ fn count_exp() {
         assert_eq!(count.assignments, count.distinct, "quantifier-free head");
         assert_eq!(count.distinct, (base as u128).pow(len as u32 + 1));
         for threads in [2usize, 4] {
-            let pool = Pool::new(threads);
-            let par = plan
-                .execute_parallel(&q, &db, &ExecutionContext::unlimited().into_shared(), &pool)
-                .unwrap();
+            let ctx = ExecutionContext::new().with_pool(Pool::new(threads));
+            let par = plan.execute_governed(&q, &db, &ctx).unwrap();
             assert_eq!(par, count, "len = {len} at {threads} threads");
         }
 

@@ -9,16 +9,16 @@
 //! [`count_with_fallback`] is the governed degradation chain.
 
 use pq_analyze::{analyze, Analysis, AnalyzeOptions};
+use pq_count::acyclic::check_groups;
 use pq_count::{CountError, CountedRelation, QueryCount};
 use pq_data::{Database, Relation, Tuple};
-use pq_engine::governor::{ExecutionContext, SharedContext};
+use pq_engine::governor::ExecutionContext;
 use pq_engine::EngineError;
-use pq_exec::Pool;
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
 use crate::classify::{classification_of, Classification, CqClass};
-use crate::planner::{FallbackAttempt, PlannerOptions};
+use crate::planner::{evaluate_choice, plan, EngineChoice, FallbackAttempt, PlannerOptions};
 
 /// The counting strategy a [`CountPlan`] commits to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,11 +32,12 @@ pub enum CountChoice {
     /// The query is provably empty on every database: the count is 0.
     ConstantEmpty,
     /// Counting is as hard as enumeration here (≠/comparison atoms, or no
-    /// decomposition within the width limit): evaluate with the regular
-    /// planner and count the answer set. On this path only the `distinct`
-    /// count is native; `assignments` is reported equal to it, because the
-    /// enumerating engines return set-semantics answers.
-    EnumerateThenCount,
+    /// decomposition within the width limit): evaluate with this engine —
+    /// the one the regular planner picked, at count-planning time, with the
+    /// caller's options — and count the answer set. On this path only the
+    /// `distinct` count is native; `assignments` is reported equal to it,
+    /// because the enumerating engines return set-semantics answers.
+    EnumerateThenCount(EngineChoice),
 }
 
 /// The engine label a hypertree count plan advertises.
@@ -74,7 +75,8 @@ pub struct CountPlan {
 /// (so the plan's diagnostics include the `PQA7xx` classification), then
 /// routes: provably empty → constant 0; acyclic pure → the join-tree
 /// sweep; bounded-width cyclic pure → the bag sweep; everything else →
-/// enumerate-then-count.
+/// enumerate-then-count, with the enumeration planned here, once, from the
+/// effective query and `opts` (trial seed, `k` limit, views included).
 pub fn plan_count(q: &ConjunctiveQuery, opts: &PlannerOptions) -> CountPlan {
     let analysis = analyze(
         q,
@@ -84,6 +86,13 @@ pub fn plan_count(q: &ConjunctiveQuery, opts: &PlannerOptions) -> CountPlan {
         },
     );
     let classification = classification_of(&analysis.report);
+    // The effective query is already the minimized core, so the inner plan
+    // has nothing left to rewrite: its choice applies to that query as is.
+    let enumerate = || {
+        let inner = plan(analysis.effective(q), opts);
+        debug_assert!(inner.analysis.rewritten.is_none(), "core minimized twice");
+        CountChoice::EnumerateThenCount(inner.choice)
+    };
     let (engine, choice) =
         if analysis.provably_empty() || classification.class == CqClass::InconsistentComparisons {
             ("constant (count 0)", CountChoice::ConstantEmpty)
@@ -92,9 +101,9 @@ pub fn plan_count(q: &ConjunctiveQuery, opts: &PlannerOptions) -> CountPlan {
                 CqClass::AcyclicPure => ("count-yannakakis", CountChoice::Acyclic),
                 CqClass::CyclicBoundedWidth => match analysis.report.decomposition.clone() {
                     Some(d) => (count_hypertree_label(d.width()), CountChoice::Hypertree(d)),
-                    None => ("enumerate-then-count", CountChoice::EnumerateThenCount),
+                    None => ("enumerate-then-count", enumerate()),
                 },
-                _ => ("enumerate-then-count", CountChoice::EnumerateThenCount),
+                _ => ("enumerate-then-count", enumerate()),
             }
         };
     let parallelism = match &choice {
@@ -135,82 +144,42 @@ fn group_enumerated(
     Ok(out)
 }
 
-/// Validate `groups` against the head (shared with the grouped execute
-/// paths): distinct head variables, order preserved.
-fn checked_groups(q: &ConjunctiveQuery, groups: &[String]) -> pq_count::Result<Vec<String>> {
-    let head: std::collections::BTreeSet<&str> = q.head_variables().into_iter().collect();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::new();
-    for g in groups {
-        if !head.contains(g.as_str()) {
-            return Err(CountError::Engine(EngineError::Unsupported(format!(
-                "GROUP BY variable `{g}` is not a head variable of {q}"
-            ))));
-        }
-        if seen.insert(g.as_str()) {
-            out.push(g.clone());
+/// Count `Q(d)` with one strategy under `ctx` (whose pool the sweeps and
+/// enumerating engines fan out on).
+fn count_choice(
+    choice: &CountChoice,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    ctx: &ExecutionContext,
+) -> pq_count::Result<QueryCount> {
+    match choice {
+        CountChoice::Acyclic => pq_count::count_governed(q, db, ctx),
+        CountChoice::Hypertree(d) => pq_count::count_decomposed(q, db, d, ctx),
+        CountChoice::ConstantEmpty => Ok(QueryCount {
+            distinct: 0,
+            assignments: 0,
+        }),
+        CountChoice::EnumerateThenCount(engine) => {
+            let n = evaluate_choice(engine, q, db, ctx)?.len() as u128;
+            Ok(QueryCount {
+                distinct: n,
+                assignments: n,
+            })
         }
     }
-    Ok(out)
 }
 
 impl CountPlan {
-    /// Count `Q(d)` with the committed strategy under the limits of `ctx`.
+    /// Count `Q(d)` with the committed strategy under the limits of `ctx`,
+    /// fanned out on the context's pool; counts are identical at any pool
+    /// degree.
     pub fn execute_governed(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
         ctx: &ExecutionContext,
     ) -> pq_count::Result<QueryCount> {
-        let q = self.analysis.effective(q);
-        match &self.choice {
-            CountChoice::Acyclic => pq_count::count_governed(q, db, ctx),
-            CountChoice::Hypertree(d) => pq_count::count_decomposed(q, db, d, ctx),
-            CountChoice::ConstantEmpty => Ok(QueryCount {
-                distinct: 0,
-                assignments: 0,
-            }),
-            CountChoice::EnumerateThenCount => {
-                let rows = crate::planner::plan(q, &PlannerOptions::default())
-                    .execute_governed(q, db, ctx)?;
-                let n = rows.len() as u128;
-                Ok(QueryCount {
-                    distinct: n,
-                    assignments: n,
-                })
-            }
-        }
-    }
-
-    /// [`CountPlan::execute_governed`] with the committed strategy's
-    /// parallel path; counts are byte-identical at any pool size.
-    pub fn execute_parallel(
-        &self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        shared: &SharedContext,
-        pool: &Pool,
-    ) -> pq_count::Result<QueryCount> {
-        let q = self.analysis.effective(q);
-        match &self.choice {
-            CountChoice::Acyclic => pq_count::count_parallel(q, db, shared, pool),
-            CountChoice::Hypertree(d) => {
-                pq_count::count_decomposed_parallel(q, db, d, shared, pool)
-            }
-            CountChoice::ConstantEmpty => Ok(QueryCount {
-                distinct: 0,
-                assignments: 0,
-            }),
-            CountChoice::EnumerateThenCount => {
-                let rows = crate::planner::plan(q, &PlannerOptions::default())
-                    .execute_parallel(q, db, shared, pool)?;
-                let n = rows.len() as u128;
-                Ok(QueryCount {
-                    distinct: n,
-                    assignments: n,
-                })
-            }
-        }
+        count_choice(&self.choice, self.analysis.effective(q), db, ctx)
     }
 
     /// Grouped counts `COUNT(Q) GROUP BY groups` with the committed
@@ -229,39 +198,11 @@ impl CountPlan {
             CountChoice::Acyclic => pq_count::count_by_governed(q, db, groups, ctx),
             CountChoice::Hypertree(d) => pq_count::count_by_decomposed(q, db, d, groups, ctx),
             CountChoice::ConstantEmpty => {
-                CountedRelation::new(checked_groups(q, groups)?.iter().map(String::clone))
+                CountedRelation::new(check_groups(q, groups)?.iter().map(String::clone))
             }
-            CountChoice::EnumerateThenCount => {
-                let groups = checked_groups(q, groups)?;
-                let rows = crate::planner::plan(q, &PlannerOptions::default())
-                    .execute_governed(q, db, ctx)?;
-                group_enumerated(&rows, &groups, self.engine)
-            }
-        }
-    }
-
-    /// [`CountPlan::execute_by_governed`] on the parallel path.
-    pub fn execute_by_parallel(
-        &self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        groups: &[String],
-        shared: &SharedContext,
-        pool: &Pool,
-    ) -> pq_count::Result<CountedRelation> {
-        let q = self.analysis.effective(q);
-        match &self.choice {
-            CountChoice::Acyclic => pq_count::count_by_parallel(q, db, groups, shared, pool),
-            CountChoice::Hypertree(d) => {
-                pq_count::count_by_decomposed_parallel(q, db, d, groups, shared, pool)
-            }
-            CountChoice::ConstantEmpty => {
-                CountedRelation::new(checked_groups(q, groups)?.iter().map(String::clone))
-            }
-            CountChoice::EnumerateThenCount => {
-                let groups = checked_groups(q, groups)?;
-                let rows = crate::planner::plan(q, &PlannerOptions::default())
-                    .execute_parallel(q, db, shared, pool)?;
+            CountChoice::EnumerateThenCount(engine) => {
+                let groups = check_groups(q, groups)?;
+                let rows = evaluate_choice(engine, q, db, ctx)?;
                 group_enumerated(&rows, &groups, self.engine)
             }
         }
@@ -353,52 +294,47 @@ pub fn count_with_fallback(
             }],
         });
     }
+    // The two sweeps run through the plans' dispatcher; the bag sweep needs
+    // a decomposition within the width limit and reports its absence as
+    // the step's error.
+    let sweeps: [(&'static str, pq_count::Result<CountChoice>); 2] = [
+        ("count-yannakakis", Ok(CountChoice::Acyclic)),
+        (
+            "count-hypertree",
+            analysis
+                .report
+                .decomposition
+                .clone()
+                .map(CountChoice::Hypertree)
+                .ok_or_else(|| {
+                    CountError::Engine(EngineError::Unsupported(
+                        "no hypertree decomposition within the width limit".into(),
+                    ))
+                }),
+        ),
+    ];
     let mut attempts = Vec::new();
-    // 1. The join-tree sweep.
-    match pq_count::count_governed(q, db, ctx) {
-        Ok(count) => {
-            attempts.push(FallbackAttempt {
-                engine: "count-yannakakis",
-                error: None,
-            });
-            return Ok(CountOutcome {
-                count,
-                classification,
-                attempts,
-            });
+    for (engine, choice) in sweeps {
+        match choice.and_then(|c| count_choice(&c, q, db, ctx)) {
+            Ok(count) => {
+                attempts.push(FallbackAttempt {
+                    engine,
+                    error: None,
+                });
+                return Ok(CountOutcome {
+                    count,
+                    classification,
+                    attempts,
+                });
+            }
+            Err(e) if retryable(&e) => attempts.push(FallbackAttempt {
+                engine,
+                error: Some(e.to_string()),
+            }),
+            Err(e) => return Err(e),
         }
-        Err(e) if retryable(&e) => attempts.push(FallbackAttempt {
-            engine: "count-yannakakis",
-            error: Some(e.to_string()),
-        }),
-        Err(e) => return Err(e),
     }
-    // 2. The bag sweep, when the analyzer found a decomposition in budget.
-    let decomposed = match analysis.report.decomposition.as_ref() {
-        Some(d) => pq_count::count_decomposed(q, db, d, ctx),
-        None => Err(CountError::Engine(EngineError::Unsupported(
-            "no hypertree decomposition within the width limit".into(),
-        ))),
-    };
-    match decomposed {
-        Ok(count) => {
-            attempts.push(FallbackAttempt {
-                engine: "count-hypertree",
-                error: None,
-            });
-            return Ok(CountOutcome {
-                count,
-                classification,
-                attempts,
-            });
-        }
-        Err(e) if retryable(&e) => attempts.push(FallbackAttempt {
-            engine: "count-hypertree",
-            error: Some(e.to_string()),
-        }),
-        Err(e) => return Err(e),
-    }
-    // 3. Enumerate-then-count through the evaluation chain.
+    // Then enumerate-then-count through the evaluation chain.
     let out = crate::planner::evaluate_with_fallback(q, db, ctx).map_err(CountError::Engine)?;
     attempts.extend(out.attempts);
     let n = out.result.len() as u128;
@@ -472,7 +408,10 @@ mod tests {
             &parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap(),
             &opts,
         );
-        assert_eq!(p.choice, CountChoice::EnumerateThenCount);
+        assert!(matches!(
+            p.choice,
+            CountChoice::EnumerateThenCount(EngineChoice::ColorCoding(_))
+        ));
         let p = plan_count(&parse_cq("G(x) :- R(x, y), x != x.").unwrap(), &opts);
         assert_eq!(p.choice, CountChoice::ConstantEmpty);
         assert_eq!(p.engine, "constant (count 0)");
@@ -517,9 +456,8 @@ mod tests {
             let c = p.execute_governed(&q, &d, &ctx).unwrap();
             assert_eq!(c.distinct, oracle, "{src}");
             for threads in [1, 4] {
-                let pool = Pool::new(threads);
-                let shared = ExecutionContext::unlimited().into_shared();
-                let par = p.execute_parallel(&q, &d, &shared, &pool).unwrap();
+                let ctx = ExecutionContext::new().with_pool(pq_exec::Pool::new(threads));
+                let par = p.execute_governed(&q, &d, &ctx).unwrap();
                 assert_eq!(par, c, "{src} at {threads} threads");
             }
             // The fallback chain lands on the same number.
@@ -555,13 +493,43 @@ mod tests {
             for (t, c) in by.iter() {
                 assert_eq!(expected.get(t).copied(), Some(c), "{src} group {t}");
             }
-            let pool = Pool::new(3);
-            let shared = ExecutionContext::unlimited().into_shared();
-            let par = p
-                .execute_by_parallel(&q, &d, &[group], &shared, &pool)
-                .unwrap();
+            let ctx = ExecutionContext::new().with_pool(pq_exec::Pool::new(3));
+            let par = p.execute_by_governed(&q, &d, &[group], &ctx).unwrap();
             assert_eq!(par, by, "{src}");
         }
+    }
+
+    /// The enumeration behind an enumerate-then-count plan is planned once,
+    /// with the caller's options: a `k` limit below the query's color
+    /// parameter must reach the inner plan as the randomized family.
+    #[test]
+    fn enumerate_then_count_plans_with_the_callers_options() {
+        let opts = PlannerOptions {
+            deterministic_k_limit: 1,
+            ..PlannerOptions::default()
+        };
+        let d = db();
+        let q = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
+        let p = plan_count(&q, &opts);
+        assert_eq!(p.classification.color_parameter, Some(2));
+        let CountChoice::EnumerateThenCount(EngineChoice::ColorCoding(cc)) = &p.choice else {
+            panic!("expected a color-coding enumeration, got {:?}", p.choice);
+        };
+        assert_eq!(
+            *cc,
+            pq_engine::colorcoding::ColorCodingOptions::randomized(
+                2,
+                opts.randomized_confidence,
+                opts.seed
+            )
+        );
+        // The count equals enumerate-then-count over the oracle's answers.
+        let c = p
+            .execute_governed(&q, &d, &ExecutionContext::unlimited())
+            .unwrap();
+        let enumerated = naive::evaluate(&q, &d).unwrap().len() as u128;
+        assert_eq!(c.distinct, enumerated);
+        assert_eq!(c.assignments, enumerated);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 use pq_analyze::{analyze, Analysis, AnalyzeOptions};
 use pq_data::{Database, Relation, Tuple};
 use pq_engine::colorcoding::{ColorCodingOptions, HashFamily};
-use pq_engine::governor::{ExecutionContext, ResourceKind, SharedContext};
+use pq_engine::governor::{ExecutionContext, ResourceKind};
 use pq_engine::{colorcoding, hypertree, naive, naive_indexed, yannakakis, EngineError, Result};
-use pq_exec::Pool;
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
@@ -65,6 +64,10 @@ pub enum EngineChoice {
     Hypertree(HypertreeDecomposition),
     /// Naive `n^q` backtracking (wide cyclic queries and comparisons).
     Naive,
+    /// Naive backtracking with per-column hash indexes. The planner never
+    /// picks it; it is the step before plain naive in
+    /// [`evaluate_with_fallback`].
+    NaiveIndexed,
     /// Answer from a registered view's maintained relation (`PQA801`/
     /// `PQA802`): project the listed view columns under the query's head
     /// attributes. Degradation chain by construction: when the database
@@ -112,7 +115,8 @@ pub struct Plan {
     /// provably-empty verdict that short-circuits to [`EngineChoice::ConstantEmpty`].
     pub analysis: Analysis,
     /// The intra-query parallelism degree this plan asks for: the size of
-    /// the [`Pool`] that [`Plan::execute_parallel`] should be handed.
+    /// the [`pq_exec::Pool`] to attach to the [`ExecutionContext`] handed to
+    /// [`Plan::execute_governed`].
     /// Constant plans (and single-atom queries, which have no fan-out) get
     /// `1`; everything else gets the planner's `max_parallelism`. Executing
     /// with a pool of a different size is still correct — every parallel
@@ -221,29 +225,10 @@ pub fn view_scan(q: &ConjunctiveQuery, view: &Relation, projection: &[usize]) ->
     Ok(out)
 }
 
-/// Serial execution of one engine choice; `ViewScan` recurses into its
-/// fallback when the view relation is absent from `db`.
-fn execute_choice(choice: &EngineChoice, q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
-    match choice {
-        EngineChoice::Yannakakis => yannakakis::evaluate(q, db),
-        EngineChoice::ColorCoding(cc) => colorcoding::evaluate(q, db, cc),
-        EngineChoice::ConstantEmpty => empty_head(q),
-        EngineChoice::Hypertree(d) => {
-            hypertree::evaluate_decomposed(q, db, d, &ExecutionContext::unlimited())
-        }
-        EngineChoice::Naive => naive::evaluate(q, db),
-        EngineChoice::ViewScan {
-            view,
-            projection,
-            fallback,
-        } => match db.relation(view) {
-            Ok(rel) => view_scan(q, rel, projection),
-            Err(_) => execute_choice(fallback, q, db),
-        },
-    }
-}
-
-fn execute_choice_governed(
+/// Evaluate `q` with one engine choice under `ctx` (whose pool the engine
+/// fans out on). `ViewScan` runs its fallback when the view relation is
+/// absent from `db`.
+pub(crate) fn evaluate_choice(
     choice: &EngineChoice,
     q: &ConjunctiveQuery,
     db: &Database,
@@ -254,52 +239,8 @@ fn execute_choice_governed(
         EngineChoice::ColorCoding(cc) => colorcoding::evaluate_governed(q, db, cc, ctx),
         EngineChoice::ConstantEmpty => empty_head(q),
         EngineChoice::Hypertree(d) => hypertree::evaluate_decomposed(q, db, d, ctx),
+        EngineChoice::NaiveIndexed => naive_indexed::evaluate_governed(q, db, ctx),
         EngineChoice::Naive => naive::evaluate_governed(q, db, ctx),
-        EngineChoice::ViewScan {
-            view,
-            projection,
-            fallback,
-        } => match db.relation(view) {
-            Ok(rel) => view_scan(q, rel, projection),
-            Err(_) => execute_choice_governed(fallback, q, db, ctx),
-        },
-    }
-}
-
-fn is_nonempty_choice(choice: &EngineChoice, q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
-    match choice {
-        EngineChoice::Yannakakis => yannakakis::is_nonempty(q, db),
-        EngineChoice::ColorCoding(cc) => colorcoding::is_nonempty(q, db, cc),
-        EngineChoice::ConstantEmpty => Ok(false),
-        EngineChoice::Hypertree(d) => {
-            hypertree::is_nonempty_decomposed(q, db, d, &ExecutionContext::unlimited())
-        }
-        EngineChoice::Naive => naive::is_nonempty(q, db),
-        EngineChoice::ViewScan { view, fallback, .. } => match db.relation(view) {
-            // A projection is nonempty iff its source is.
-            Ok(rel) => Ok(!rel.is_empty()),
-            Err(_) => is_nonempty_choice(fallback, q, db),
-        },
-    }
-}
-
-fn execute_choice_parallel(
-    choice: &EngineChoice,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    match choice {
-        EngineChoice::Yannakakis => {
-            yannakakis::evaluate_parallel(q, db, Default::default(), shared, pool)
-        }
-        EngineChoice::ColorCoding(cc) => colorcoding::evaluate_parallel(q, db, cc, shared, pool),
-        EngineChoice::ConstantEmpty => empty_head(q),
-        EngineChoice::Hypertree(d) => {
-            hypertree::evaluate_decomposed_parallel(q, db, d, shared, pool)
-        }
-        EngineChoice::Naive => naive::evaluate_parallel(q, db, shared, pool),
         EngineChoice::ViewScan {
             view,
             projection,
@@ -307,29 +248,29 @@ fn execute_choice_parallel(
         } => match db.relation(view) {
             // The scan is linear in the view; no fan-out to parallelize.
             Ok(rel) => view_scan(q, rel, projection),
-            Err(_) => execute_choice_parallel(fallback, q, db, shared, pool),
+            Err(_) => evaluate_choice(fallback, q, db, ctx),
         },
     }
 }
 
-fn is_nonempty_choice_parallel(
+/// Emptiness of `Q(d)` with one engine choice under `ctx`.
+fn is_nonempty_choice(
     choice: &EngineChoice,
     q: &ConjunctiveQuery,
     db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
 ) -> Result<bool> {
     match choice {
-        EngineChoice::Yannakakis => yannakakis::is_nonempty_parallel(q, db, shared, pool),
-        EngineChoice::ColorCoding(cc) => colorcoding::is_nonempty_parallel(q, db, cc, shared, pool),
+        EngineChoice::Yannakakis => yannakakis::is_nonempty_governed(q, db, ctx),
+        EngineChoice::ColorCoding(cc) => colorcoding::is_nonempty_governed(q, db, cc, ctx),
         EngineChoice::ConstantEmpty => Ok(false),
-        EngineChoice::Hypertree(d) => {
-            hypertree::is_nonempty_decomposed_parallel(q, db, d, shared, pool)
-        }
-        EngineChoice::Naive => naive::is_nonempty_parallel(q, db, shared, pool),
+        EngineChoice::Hypertree(d) => hypertree::is_nonempty_decomposed(q, db, d, ctx),
+        EngineChoice::NaiveIndexed => naive_indexed::is_nonempty_governed(q, db, ctx),
+        EngineChoice::Naive => naive::is_nonempty_governed(q, db, ctx),
         EngineChoice::ViewScan { view, fallback, .. } => match db.relation(view) {
+            // A projection is nonempty iff its source is.
             Ok(rel) => Ok(!rel.is_empty()),
-            Err(_) => is_nonempty_choice_parallel(fallback, q, db, shared, pool),
+            Err(_) => is_nonempty_choice(fallback, q, db, ctx),
         },
     }
 }
@@ -341,7 +282,7 @@ impl Plan {
     /// the choice, so handing it a structurally different query runs the
     /// wrong engine, not a wrong answer).
     pub fn execute(&self, q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
-        execute_choice(&self.choice, self.analysis.effective(q), db)
+        self.execute_governed(q, db, &ExecutionContext::unlimited())
     }
 
     /// The base relations this plan reads when executed on `q`: the body
@@ -366,45 +307,31 @@ impl Plan {
     }
 
     /// [`Plan::execute`] under the limits of `ctx` (see
-    /// [`ExecutionContext`]).
+    /// [`ExecutionContext`]), fanned out on the context's pool. The answer
+    /// is identical at any pool degree; [`Plan::parallelism`] is the degree
+    /// this plan recommends.
     pub fn execute_governed(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
         ctx: &ExecutionContext,
     ) -> Result<Relation> {
-        execute_choice_governed(&self.choice, self.analysis.effective(q), db, ctx)
+        evaluate_choice(&self.choice, self.analysis.effective(q), db, ctx)
     }
 
     /// Emptiness of `Q(d)` with the committed engine, without reclassifying.
     pub fn is_nonempty(&self, q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
-        is_nonempty_choice(&self.choice, self.analysis.effective(q), db)
+        self.is_nonempty_governed(q, db, &ExecutionContext::unlimited())
     }
 
-    /// [`Plan::execute_governed`] with the committed engine's intra-query
-    /// parallel path on `pool`, every worker charging the `shared` envelope.
-    /// The answer is identical to the serial paths at any pool size;
-    /// [`Plan::parallelism`] is the pool size this plan recommends.
-    pub fn execute_parallel(
+    /// [`Plan::is_nonempty`] under the limits (and on the pool) of `ctx`.
+    pub fn is_nonempty_governed(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
-        shared: &SharedContext,
-        pool: &Pool,
-    ) -> Result<Relation> {
-        execute_choice_parallel(&self.choice, self.analysis.effective(q), db, shared, pool)
-    }
-
-    /// Emptiness with the committed engine's parallel path; see
-    /// [`Plan::execute_parallel`].
-    pub fn is_nonempty_parallel(
-        &self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        shared: &SharedContext,
-        pool: &Pool,
+        ctx: &ExecutionContext,
     ) -> Result<bool> {
-        is_nonempty_choice_parallel(&self.choice, self.analysis.effective(q), db, shared, pool)
+        is_nonempty_choice(&self.choice, self.analysis.effective(q), db, ctx)
     }
 }
 
@@ -502,34 +429,28 @@ pub fn evaluate_with_fallback(
             }],
         });
     }
-    let cc = ColorCodingOptions {
-        family: HashFamily::Perfect,
-        minimize_hashed_attrs: true,
-    };
-    type Step<'a> = (&'static str, Box<dyn Fn() -> Result<Relation> + 'a>);
-    let chain: [Step<'_>; 5] = [
-        (
-            "color-coding",
-            Box::new(|| colorcoding::evaluate_governed(q, db, &cc, ctx)),
-        ),
-        (
-            "yannakakis",
-            Box::new(|| yannakakis::evaluate_governed(q, db, ctx)),
-        ),
-        (
-            "hypertree",
-            Box::new(|| hypertree::evaluate_governed(q, db, ctx)),
-        ),
-        (
-            "naive-indexed",
-            Box::new(|| naive_indexed::evaluate_governed(q, db, ctx)),
-        ),
-        ("naive", Box::new(|| naive::evaluate_governed(q, db, ctx))),
+    // Each step names an engine choice and runs it through the same
+    // dispatcher plans use. The hypertree step needs a decomposition within
+    // the width limit and reports its absence as the step's error.
+    type Step = (&'static str, fn(&ConjunctiveQuery) -> Result<EngineChoice>);
+    let chain: [Step; 5] = [
+        ("color-coding", |_| {
+            Ok(EngineChoice::ColorCoding(ColorCodingOptions {
+                family: HashFamily::Perfect,
+                minimize_hashed_attrs: true,
+            }))
+        }),
+        ("yannakakis", |_| Ok(EngineChoice::Yannakakis)),
+        ("hypertree", |q| {
+            hypertree::prepare(q).map(EngineChoice::Hypertree)
+        }),
+        ("naive-indexed", |_| Ok(EngineChoice::NaiveIndexed)),
+        ("naive", |_| Ok(EngineChoice::Naive)),
     ];
     let mut attempts = Vec::new();
     let mut last_err: Option<EngineError> = None;
-    for (engine, run) in chain {
-        match run() {
+    for (engine, choice) in chain {
+        match choice(q).and_then(|c| evaluate_choice(&c, q, db, ctx)) {
             Ok(result) => {
                 attempts.push(FallbackAttempt {
                     engine,
@@ -850,16 +771,14 @@ mod tests {
             let p = plan(&q, &opts);
             let serial = p.execute(&q, &d).unwrap();
             for t in [1, 2, 8] {
-                let pool = Pool::new(t);
-                let shared = ExecutionContext::unlimited().into_shared();
+                let ctx = || ExecutionContext::new().with_pool(pq_exec::Pool::new(t));
                 assert_eq!(
-                    p.execute_parallel(&q, &d, &shared, &pool).unwrap(),
+                    p.execute_governed(&q, &d, &ctx()).unwrap(),
                     serial,
                     "{src} at degree {t}"
                 );
-                let shared = ExecutionContext::unlimited().into_shared();
                 assert_eq!(
-                    p.is_nonempty_parallel(&q, &d, &shared, &pool).unwrap(),
+                    p.is_nonempty_governed(&q, &d, &ctx()).unwrap(),
                     !serial.is_empty(),
                     "{src} at degree {t}"
                 );
@@ -930,10 +849,7 @@ mod tests {
         let direct = naive::evaluate(&q, &d).unwrap();
         assert_eq!(p.execute(&q, &d).unwrap(), direct);
         assert_eq!(p.is_nonempty(&q, &d).unwrap(), !direct.is_empty());
-        let pool = Pool::new(2);
-        let shared = ExecutionContext::unlimited().into_shared();
-        assert_eq!(p.execute_parallel(&q, &d, &shared, &pool).unwrap(), direct);
-        let ctx = ExecutionContext::unlimited();
+        let ctx = ExecutionContext::new().with_pool(pq_exec::Pool::new(2));
         assert_eq!(p.execute_governed(&q, &d, &ctx).unwrap(), direct);
     }
 

@@ -4,15 +4,15 @@
 use std::collections::BTreeSet;
 
 use pq_data::{Database, Relation};
-use pq_engine::governor::{ExecutionContext, SharedContext};
-use pq_engine::yannakakis::atom_relation_governed;
+use pq_engine::binding::check_head_safety;
+use pq_engine::governor::ExecutionContext;
+use pq_engine::yannakakis::atom_relations;
 use pq_engine::EngineError;
-use pq_exec::Pool;
 use pq_hypergraph::{join_tree, Hypergraph, JoinTree};
 use pq_query::ConjunctiveQuery;
 
 use crate::counted::CountedRelation;
-use crate::sweep::{counted_sweep, counted_sweep_parallel, total_parallel};
+use crate::sweep::{counted_sweep, total};
 use crate::{CountError, QueryCount, Result};
 
 /// Engine name reported in errors and diagnostics.
@@ -27,21 +27,9 @@ pub fn quantifier_free(q: &ConjunctiveQuery) -> bool {
     q.atom_variables().into_iter().all(|v| head.contains(v))
 }
 
-pub(crate) fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
-    let body_vars: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body_vars.contains(v) {
-            return Err(CountError::Engine(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Validate a `GROUP BY` list: distinct head variables only, returned
 /// deduplicated with first-occurrence order preserved.
-pub(crate) fn check_groups(q: &ConjunctiveQuery, groups: &[String]) -> Result<Vec<String>> {
+pub fn check_groups(q: &ConjunctiveQuery, groups: &[String]) -> Result<Vec<String>> {
     let head: BTreeSet<&str> = q.head_variables().into_iter().collect();
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
@@ -75,28 +63,6 @@ fn prepare(q: &ConjunctiveQuery) -> Result<(Hypergraph, JoinTree)> {
     Ok((hg, tree))
 }
 
-fn atom_relations(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ctx: &ExecutionContext,
-) -> Result<Vec<Relation>> {
-    q.atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx).map_err(CountError::from))
-        .collect()
-}
-
-pub(crate) fn atom_relations_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Vec<Relation>> {
-    pool.try_run(&q.atoms, |_, a| {
-        atom_relation_governed(a, db, &shared.worker()).map_err(CountError::from)
-    })
-}
-
 /// Assemble a [`QueryCount`] from the sweep, choosing the tracked-variable
 /// set by head shape: a quantifier-free head marginalizes everything away
 /// (`z = ∅`, input-polynomial) and reads both counts off the grand total; a
@@ -112,7 +78,7 @@ pub(crate) fn finish_count(
 ) -> Result<QueryCount> {
     if quantifier_free(q) {
         let root = counted_sweep(hg, tree, rels, &[], ctx, engine)?;
-        let total = root.total(engine)?;
+        let total = total(&root, ctx, engine)?;
         Ok(QueryCount {
             distinct: total,
             assignments: total,
@@ -122,35 +88,7 @@ pub(crate) fn finish_count(
         let per = counted_sweep(hg, tree, rels, &z, ctx, engine)?;
         Ok(QueryCount {
             distinct: per.len() as u128,
-            assignments: per.total(engine)?,
-        })
-    }
-}
-
-/// Parallel [`finish_count`]: the level-scheduled sweep plus a
-/// partition-and-sum total, byte-identical at any thread count.
-pub(crate) fn finish_count_parallel(
-    q: &ConjunctiveQuery,
-    hg: &Hypergraph,
-    tree: &JoinTree,
-    rels: &[Relation],
-    shared: &SharedContext,
-    pool: &Pool,
-    engine: &'static str,
-) -> Result<QueryCount> {
-    if quantifier_free(q) {
-        let root = counted_sweep_parallel(hg, tree, rels, &[], shared, pool, engine)?;
-        let total = total_parallel(&root, pool, engine)?;
-        Ok(QueryCount {
-            distinct: total,
-            assignments: total,
-        })
-    } else {
-        let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-        let per = counted_sweep_parallel(hg, tree, rels, &z, shared, pool, engine)?;
-        Ok(QueryCount {
-            distinct: per.len() as u128,
-            assignments: total_parallel(&per, pool, engine)?,
+            assignments: total(&per, ctx, engine)?,
         })
     }
 }
@@ -175,25 +113,6 @@ pub(crate) fn finish_count_by(
     let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
     let per = counted_sweep(hg, tree, rels, &z, ctx, engine)?;
     distinct_per_group(&per, groups, ctx, engine)
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors finish_count_by + (shared, pool)
-pub(crate) fn finish_count_by_parallel(
-    q: &ConjunctiveQuery,
-    hg: &Hypergraph,
-    tree: &JoinTree,
-    rels: &[Relation],
-    groups: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
-    engine: &'static str,
-) -> Result<CountedRelation> {
-    if quantifier_free(q) {
-        return counted_sweep_parallel(hg, tree, rels, groups, shared, pool, engine);
-    }
-    let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    let per = counted_sweep_parallel(hg, tree, rels, &z, shared, pool, engine)?;
-    distinct_per_group(&per, groups, &shared.worker(), engine)
 }
 
 /// Collapse per-head-projection counts to per-group **distinct** counts:
@@ -238,13 +157,15 @@ pub fn count(q: &ConjunctiveQuery, db: &Database) -> Result<QueryCount> {
     count_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`count`] under the resource limits of `ctx`.
+/// [`count`] under the resource limits of `ctx`: atom scans, the
+/// level-scheduled sweep and the final total fan out on `ctx.pool()`, with
+/// the same counts at any pool degree.
 pub fn count_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<QueryCount> {
-    check_safety(q)?;
+    check_head_safety(q)?;
     if q.atoms.is_empty() {
         return Ok(QueryCount {
             distinct: 1,
@@ -254,26 +175,6 @@ pub fn count_governed(
     let (hg, tree) = prepare(q)?;
     let rels = atom_relations(q, db, ctx)?;
     finish_count(q, &hg, &tree, &rels, ctx, ENGINE)
-}
-
-/// [`count`] with parallel atom scans, a level-scheduled parallel sweep,
-/// and a partition-and-sum total; byte-identical at any thread count.
-pub fn count_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<QueryCount> {
-    check_safety(q)?;
-    if q.atoms.is_empty() {
-        return Ok(QueryCount {
-            distinct: 1,
-            assignments: 1,
-        });
-    }
-    let (hg, tree) = prepare(q)?;
-    let rels = atom_relations_parallel(q, db, shared, pool)?;
-    finish_count_parallel(q, &hg, &tree, &rels, shared, pool, ENGINE)
 }
 
 /// Grouped counts `COUNT(Q) GROUP BY groups`: one row per assignment of the
@@ -290,40 +191,24 @@ pub fn count_by_governed(
     groups: &[String],
     ctx: &ExecutionContext,
 ) -> Result<CountedRelation> {
-    check_safety(q)?;
+    check_head_safety(q)?;
     let groups = check_groups(q, groups)?;
     if q.atoms.is_empty() {
-        let mut out = CountedRelation::new(groups.iter().map(String::clone))?;
-        if groups.is_empty() {
-            out.insert_add(pq_data::Tuple::default(), 1, ENGINE)?;
-        }
-        return Ok(out);
+        return vacuous_groups(&groups);
     }
     let (hg, tree) = prepare(q)?;
     let rels = atom_relations(q, db, ctx)?;
     finish_count_by(q, &hg, &tree, &rels, &groups, ctx, ENGINE)
 }
 
-/// [`count_by`] with the parallel sweep; byte-identical at any thread count.
-pub fn count_by_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    groups: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<CountedRelation> {
-    check_safety(q)?;
-    let groups = check_groups(q, groups)?;
-    if q.atoms.is_empty() {
-        let mut out = CountedRelation::new(groups.iter().map(String::clone))?;
-        if groups.is_empty() {
-            out.insert_add(pq_data::Tuple::default(), 1, ENGINE)?;
-        }
-        return Ok(out);
+/// Grouped counts of a query with an empty body: the single empty answer
+/// lands in the one group of an empty group list.
+pub(crate) fn vacuous_groups(groups: &[String]) -> Result<CountedRelation> {
+    let mut out = CountedRelation::new(groups.iter().map(String::clone))?;
+    if groups.is_empty() {
+        out.insert_add(pq_data::Tuple::default(), 1, ENGINE)?;
     }
-    let (hg, tree) = prepare(q)?;
-    let rels = atom_relations_parallel(q, db, shared, pool)?;
-    finish_count_by_parallel(q, &hg, &tree, &rels, &groups, shared, pool, ENGINE)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -449,8 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_counts_match_serial_at_any_degree() {
+    fn counts_are_the_same_at_any_pool_degree() {
         let db = chain_db();
+        let ctx = |threads| ExecutionContext::new().with_pool(pq_exec::Pool::new(threads));
         for src in [
             "G(x, y, z, w) :- R(x, y), S(y, z), T(z, w).",
             "G(x) :- R(x, y), S(y, z).",
@@ -459,18 +345,15 @@ mod tests {
             let q = parse_cq(src).unwrap();
             let serial = count(&q, &db).unwrap();
             for threads in [1, 2, 4] {
-                let pool = Pool::new(threads);
-                let shared = ExecutionContext::unlimited().into_shared();
-                let par = count_parallel(&q, &db, &shared, &pool).unwrap();
+                let par = count_governed(&q, &db, &ctx(threads)).unwrap();
                 assert_eq!(par, serial, "{src} at {threads} threads");
             }
         }
         let q = parse_cq("G(x, z) :- R(x, y), S(y, z).").unwrap();
-        let serial = count_by(&q, &db, &["x".to_string()]).unwrap();
+        let groups = ["x".to_string()];
+        let serial = count_by(&q, &db, &groups).unwrap();
         for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let shared = ExecutionContext::unlimited().into_shared();
-            let par = count_by_parallel(&q, &db, &["x".to_string()], &shared, &pool).unwrap();
+            let par = count_by_governed(&q, &db, &groups, &ctx(threads)).unwrap();
             assert_eq!(par, serial, "{threads} threads");
         }
     }

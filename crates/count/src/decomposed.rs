@@ -6,16 +6,13 @@
 //! the join-tree sweep does for acyclic queries.
 
 use pq_data::Database;
-use pq_engine::governor::{ExecutionContext, SharedContext};
-use pq_engine::hypertree::{materialize_bags_governed, materialize_bags_parallel};
-use pq_exec::Pool;
+use pq_engine::binding::check_head_safety;
+use pq_engine::governor::ExecutionContext;
+use pq_engine::hypertree::materialize_bags_governed;
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
-use crate::acyclic::{
-    check_groups, check_safety, finish_count, finish_count_by, finish_count_by_parallel,
-    finish_count_parallel,
-};
+use crate::acyclic::{check_groups, finish_count, finish_count_by, vacuous_groups};
 use crate::counted::CountedRelation;
 use crate::{QueryCount, Result};
 
@@ -24,14 +21,15 @@ pub(crate) const ENGINE: &str = "count-hypertree";
 
 /// Exact counts of `Q(d)` over a hypertree decomposition `d`, without
 /// enumeration. `d` must cover `q` (use [`pq_engine::hypertree::prepare`]
-/// or [`pq_hypergraph::decompose`] to obtain one).
+/// or [`pq_hypergraph::decompose`] to obtain one). Bag materialization and
+/// the sweep fan out on `ctx.pool()`, with the same counts at any degree.
 pub fn count_decomposed(
     q: &ConjunctiveQuery,
     db: &Database,
     d: &HypertreeDecomposition,
     ctx: &ExecutionContext,
 ) -> Result<QueryCount> {
-    check_safety(q)?;
+    check_head_safety(q)?;
     if q.atoms.is_empty() {
         return Ok(QueryCount {
             distinct: 1,
@@ -40,26 +38,6 @@ pub fn count_decomposed(
     }
     let (bags, tree, rels) = materialize_bags_governed(q, db, d, ctx)?;
     finish_count(q, &bags, &tree, &rels, ctx, ENGINE)
-}
-
-/// [`count_decomposed`] with parallel bag materialization and the parallel
-/// sweep; byte-identical at any thread count.
-pub fn count_decomposed_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<QueryCount> {
-    check_safety(q)?;
-    if q.atoms.is_empty() {
-        return Ok(QueryCount {
-            distinct: 1,
-            assignments: 1,
-        });
-    }
-    let (bags, tree, rels) = materialize_bags_parallel(q, db, d, shared, pool)?;
-    finish_count_parallel(q, &bags, &tree, &rels, shared, pool, ENGINE)
 }
 
 /// Grouped counts over a hypertree decomposition: one row per assignment of
@@ -71,40 +49,13 @@ pub fn count_by_decomposed(
     groups: &[String],
     ctx: &ExecutionContext,
 ) -> Result<CountedRelation> {
-    check_safety(q)?;
+    check_head_safety(q)?;
     let groups = check_groups(q, groups)?;
     if q.atoms.is_empty() {
-        let mut out = CountedRelation::new(groups.iter().map(String::clone))?;
-        if groups.is_empty() {
-            out.insert_add(pq_data::Tuple::default(), 1, ENGINE)?;
-        }
-        return Ok(out);
+        return vacuous_groups(&groups);
     }
     let (bags, tree, rels) = materialize_bags_governed(q, db, d, ctx)?;
     finish_count_by(q, &bags, &tree, &rels, &groups, ctx, ENGINE)
-}
-
-/// [`count_by_decomposed`] with the parallel sweep; byte-identical at any
-/// thread count.
-pub fn count_by_decomposed_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    groups: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<CountedRelation> {
-    check_safety(q)?;
-    let groups = check_groups(q, groups)?;
-    if q.atoms.is_empty() {
-        let mut out = CountedRelation::new(groups.iter().map(String::clone))?;
-        if groups.is_empty() {
-            out.insert_add(pq_data::Tuple::default(), 1, ENGINE)?;
-        }
-        return Ok(out);
-    }
-    let (bags, tree, rels) = materialize_bags_parallel(q, db, d, shared, pool)?;
-    finish_count_by_parallel(q, &bags, &tree, &rels, &groups, shared, pool, ENGINE)
 }
 
 #[cfg(test)]
@@ -160,7 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
+    fn counts_are_the_same_at_any_pool_degree() {
         let db = triangle_db();
         for src in [
             "G(x, y, z) :- E(x, y), E(y, z), E(z, x).",
@@ -170,9 +121,8 @@ mod tests {
             let d = hypertree::prepare(&q).unwrap();
             let serial = count_decomposed(&q, &db, &d, &ExecutionContext::unlimited()).unwrap();
             for threads in [1, 3] {
-                let pool = Pool::new(threads);
-                let shared = ExecutionContext::unlimited().into_shared();
-                let par = count_decomposed_parallel(&q, &db, &d, &shared, &pool).unwrap();
+                let ctx = ExecutionContext::new().with_pool(pq_exec::Pool::new(threads));
+                let par = count_decomposed(&q, &db, &d, &ctx).unwrap();
                 assert_eq!(par, serial, "{src} at {threads} threads");
             }
         }
@@ -197,11 +147,9 @@ mod tests {
         for (t, c) in by_x.iter() {
             assert_eq!(expected.get(t).copied(), Some(c), "group {t}");
         }
-        // Parallel grouped agrees too.
-        let pool = Pool::new(2);
-        let shared = ExecutionContext::unlimited().into_shared();
-        let par =
-            count_by_decomposed_parallel(&q, &db, &d, &["x".to_string()], &shared, &pool).unwrap();
+        // Grouped counts on a two-worker pool agree too.
+        let ctx = ExecutionContext::new().with_pool(pq_exec::Pool::new(2));
+        let par = count_by_decomposed(&q, &db, &d, &["x".to_string()], &ctx).unwrap();
         assert_eq!(par, by_x);
     }
 }

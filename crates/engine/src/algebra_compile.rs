@@ -233,7 +233,7 @@ pub fn execute(plan: &Plan, db: &Database, dom: &[Value]) -> Result<Relation> {
 }
 
 /// [`execute`] under the resource limits of `ctx`: each operator node ticks
-/// the clock, counts against the recursion-depth guard, and charges its
+/// the clock, counts against the recursion-depth limit, and charges its
 /// materialized output to the tuple budget.
 pub fn execute_governed(
     plan: &Plan,
@@ -241,7 +241,18 @@ pub fn execute_governed(
     dom: &[Value],
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    let _depth = ctx.recurse(ENGINE)?;
+    run(plan, db, dom, ctx, 0)
+}
+
+/// One operator node of [`execute_governed`], `depth` nodes below the root.
+fn run(
+    plan: &Plan,
+    db: &Database,
+    dom: &[Value],
+    ctx: &ExecutionContext,
+    depth: usize,
+) -> Result<Relation> {
+    let depth = ctx.descend(depth, ENGINE)?;
     ctx.tick(ENGINE)?;
     match plan {
         Plan::AtomScan { relation, terms } => {
@@ -249,7 +260,7 @@ pub fn execute_governed(
             crate::yannakakis::atom_relation_governed(&atom, db, ctx)
         }
         Plan::Join(ps) => {
-            let mut parts = ps.iter().map(|p| execute_governed(p, db, dom, ctx));
+            let mut parts = ps.iter().map(|p| run(p, db, dom, ctx, depth));
             let first = parts.next().ok_or_else(|| {
                 EngineError::Unsupported("empty conjunction has no free columns".into())
             })??;
@@ -262,7 +273,7 @@ pub fn execute_governed(
         Plan::Union(ps) => {
             let mut out: Option<Relation> = None;
             for p in ps {
-                let r = execute_governed(p, db, dom, ctx)?;
+                let r = run(p, db, dom, ctx, depth)?;
                 out = Some(match out {
                     None => r,
                     Some(acc) => {
@@ -277,15 +288,15 @@ pub fn execute_governed(
             out.ok_or_else(|| EngineError::Unsupported("empty disjunction".into()))
         }
         Plan::Complement { columns, inner } => {
-            let r = execute_governed(inner, db, dom, ctx)?;
-            let full = execute_governed(&Plan::DomainProduct(columns.clone()), db, dom, ctx)?;
+            let r = run(inner, db, dom, ctx, depth)?;
+            let full = run(&Plan::DomainProduct(columns.clone()), db, dom, ctx, depth)?;
             let cols: Vec<&str> = full.attrs().iter().map(String::as_str).collect();
             let diff = full.difference(&r.project(&cols)?)?;
             ctx.charge_tuples(ENGINE, diff.len() as u64)?;
             Ok(diff)
         }
         Plan::ProjectOut { var, inner } => {
-            let r = execute_governed(inner, db, dom, ctx)?;
+            let r = run(inner, db, dom, ctx, depth)?;
             let cols: Vec<&str> = r
                 .attrs()
                 .iter()
@@ -297,7 +308,7 @@ pub fn execute_governed(
             Ok(projected)
         }
         Plan::ForAll { var, inner } => {
-            let r = execute_governed(inner, db, dom, ctx)?;
+            let r = run(inner, db, dom, ctx, depth)?;
             // Division: group by the other columns; keep groups covering dom.
             let keep: Vec<&str> = r
                 .attrs()

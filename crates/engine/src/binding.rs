@@ -1,7 +1,7 @@
 //! Variable bindings (instantiations `τ` in the paper's notation) and the
 //! conventions for turning a set of bindings into an output relation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pq_data::{Relation, Tuple, Value};
 use pq_query::{ConjunctiveQuery, QueryError, Term};
@@ -38,6 +38,16 @@ pub fn head_attrs(head_terms: &[Term]) -> Vec<String> {
         names
     } else {
         (0..head_terms.len()).map(|i| format!("${i}")).collect()
+    }
+}
+
+/// Head safety for the join-based engines: every head variable must occur
+/// in a relational atom, or no join could bind it.
+pub fn check_head_safety(q: &ConjunctiveQuery) -> Result<()> {
+    let body: BTreeSet<&str> = q.atom_variables().into_iter().collect();
+    match q.head_variables().into_iter().find(|v| !body.contains(v)) {
+        Some(v) => Err(QueryError::UnsafeHeadVariable(v.to_string()).into()),
+        None => Ok(()),
     }
 }
 

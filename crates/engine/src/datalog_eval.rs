@@ -10,17 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use pq_data::{Database, Relation, Tuple};
-use pq_exec::Pool;
+use pq_data::{Database, Relation};
 use pq_query::DatalogProgram;
 
-use crate::delta::{self, delta_rule_cq, idb_arities, positional_relation, rule_to_cq};
+use crate::delta::{self, idb_arities, positional_relation, run_round, RuleJob};
 use crate::error::{EngineError, Result};
-use crate::governor::{ExecutionContext, SharedContext};
-use crate::naive;
-
-/// Engine name reported in resource-exhaustion errors.
-const ENGINE: &str = "datalog";
+use crate::governor::ExecutionContext;
 
 /// Evaluation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +87,12 @@ pub fn evaluate_with_stats(
 /// The budget is shared with the per-rule conjunctive-query evaluations, so
 /// a fixpoint that derives too many tuples — or a single rule body that
 /// explodes — both surface as [`EngineError::ResourceExhausted`].
+///
+/// Each round evaluates its rule jobs (every rule for the naive strategy,
+/// every (rule, Δ-atom) pair for the semi-naive one) against the database
+/// *as of the start of the round*, one task per job on `ctx.pool()`, and
+/// merges the derived tuples in job order — so rounds, stats and the goal
+/// relation are identical at any pool degree.
 pub fn evaluate_with_stats_governed(
     p: &DatalogProgram,
     db: &Database,
@@ -103,9 +104,22 @@ pub fn evaluate_with_stats_governed(
         rule_eval_counts: vec![0; p.rules.len()],
         ..FixpointStats::default()
     };
+    let every_rule: Vec<RuleJob> = (0..p.rules.len()).map(|ri| (ri, None)).collect();
     match strategy {
-        Strategy::Naive => naive_fixpoint(p, &mut work, &mut stats, ctx)?,
-        Strategy::SemiNaive => seminaive_fixpoint(p, &mut work, &mut stats, ctx)?,
+        Strategy::Naive => loop {
+            stats.rounds += 1;
+            if run_round(p, &mut work, &every_rule, &mut stats, ctx)?.is_empty() {
+                break;
+            }
+        },
+        Strategy::SemiNaive => {
+            // Round 1 evaluates every rule once (IDBs are empty, so only
+            // EDB-only rules fire); its output seeds the generalized Δ-rule
+            // engine (shared with incremental view maintenance in `pq-ivm`).
+            stats.rounds = 1;
+            let seed = run_round(p, &mut work, &every_rule, &mut stats, ctx)?;
+            delta::propagate(p, &mut work, seed, &mut stats, ctx)?;
+        }
     }
     finish(p, &work, &arities, stats)
 }
@@ -175,231 +189,6 @@ fn finish(
         .map(|n| work.relation(n).map(Relation::len))
         .sum::<pq_data::Result<usize>>()?;
     Ok((work.relation(&p.goal)?.clone(), stats))
-}
-
-fn naive_fixpoint(
-    p: &DatalogProgram,
-    work: &mut Database,
-    stats: &mut FixpointStats,
-    ctx: &ExecutionContext,
-) -> Result<()> {
-    loop {
-        stats.rounds += 1;
-        let mut changed = false;
-        for (ri, rule) in p.rules.iter().enumerate() {
-            ctx.tick(ENGINE)?;
-            stats.rule_evaluations += 1;
-            stats.rule_eval_counts[ri] += 1;
-            let cq = rule_to_cq(rule);
-            let derived = naive::evaluate_governed(&cq, work, ctx)?;
-            let target = work.relation_mut(&rule.head.relation)?;
-            for t in derived.iter() {
-                if target.insert(t.clone())? {
-                    ctx.charge_tuples(ENGINE, 1)?;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return Ok(());
-        }
-    }
-}
-
-fn seminaive_fixpoint(
-    p: &DatalogProgram,
-    work: &mut Database,
-    stats: &mut FixpointStats,
-    ctx: &ExecutionContext,
-) -> Result<()> {
-    // Round 0: evaluate every rule once (IDBs are empty, so only EDB-only
-    // rules fire); collect the seed delta.
-    let mut seed: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
-    stats.rounds = 1;
-    for (ri, rule) in p.rules.iter().enumerate() {
-        ctx.tick(ENGINE)?;
-        stats.rule_evaluations += 1;
-        stats.rule_eval_counts[ri] += 1;
-        let derived = naive::evaluate_governed(&rule_to_cq(rule), work, ctx)?;
-        let target = work.relation_mut(&rule.head.relation)?;
-        for t in derived.iter() {
-            if target.insert(t.clone())? {
-                ctx.charge_tuples(ENGINE, 1)?;
-                seed.entry(rule.head.relation.clone())
-                    .or_default()
-                    .push(t.clone());
-            }
-        }
-    }
-
-    // Subsequent rounds: the generalized Δ-rule engine (shared with
-    // incremental view maintenance in `pq-ivm`).
-    delta::propagate(p, work, seed, stats, ctx)?;
-    Ok(())
-}
-
-/// [`evaluate`] with per-rule (naive) or per-(rule, Δ-atom) (semi-naive)
-/// parallel evaluation on `pool`; see [`evaluate_with_stats_parallel`].
-pub fn evaluate_parallel(
-    p: &DatalogProgram,
-    db: &Database,
-    strategy: Strategy,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    Ok(evaluate_with_stats_parallel(p, db, strategy, shared, pool)?.0)
-}
-
-/// [`evaluate_with_stats`] with the per-round rule evaluations fanned out on
-/// `pool`, every worker charging the shared envelope.
-///
-/// Each round evaluates all of its jobs against the database *as of the
-/// start of the round* and merges the derived tuples in job order, so the
-/// result is identical at any thread count. The serial fixpoint instead lets
-/// a rule see tuples inserted earlier in the same round, so it can converge
-/// in *fewer rounds*; both reach the same least fixpoint (rule application
-/// is monotone), and the goal relation is identical.
-pub fn evaluate_with_stats_parallel(
-    p: &DatalogProgram,
-    db: &Database,
-    strategy: Strategy,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<(Relation, FixpointStats)> {
-    let (arities, mut work) = setup_work(p, db)?;
-    let mut stats = FixpointStats {
-        rule_eval_counts: vec![0; p.rules.len()],
-        ..FixpointStats::default()
-    };
-    match strategy {
-        Strategy::Naive => parallel_naive_fixpoint(p, &mut work, &mut stats, shared, pool)?,
-        Strategy::SemiNaive => {
-            parallel_seminaive_fixpoint(p, &mut work, &arities, &mut stats, shared, pool)?
-        }
-    }
-    finish(p, &work, &arities, stats)
-}
-
-fn parallel_naive_fixpoint(
-    p: &DatalogProgram,
-    work: &mut Database,
-    stats: &mut FixpointStats,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<()> {
-    loop {
-        stats.rounds += 1;
-        let snapshot: &Database = work;
-        let derived: Vec<Relation> = pool.try_run(&p.rules, |_, rule| {
-            let ctx = shared.worker();
-            ctx.tick(ENGINE)?;
-            naive::evaluate_governed(&rule_to_cq(rule), snapshot, &ctx)
-        })?;
-        stats.rule_evaluations += p.rules.len();
-        for c in stats.rule_eval_counts.iter_mut() {
-            *c += 1;
-        }
-        let ctx = shared.worker();
-        let mut changed = false;
-        for (rule, d) in p.rules.iter().zip(derived) {
-            let target = work.relation_mut(&rule.head.relation)?;
-            for t in d.iter() {
-                if target.insert(t.clone())? {
-                    ctx.charge_tuples(ENGINE, 1)?;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return Ok(());
-        }
-    }
-}
-
-fn parallel_seminaive_fixpoint(
-    p: &DatalogProgram,
-    work: &mut Database,
-    arities: &BTreeMap<String, usize>,
-    stats: &mut FixpointStats,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<()> {
-    // Round 0: every rule against the initial database (IDBs empty).
-    let mut delta: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
-    stats.rounds = 1;
-    {
-        let snapshot: &Database = work;
-        let derived: Vec<Relation> = pool.try_run(&p.rules, |_, rule| {
-            let ctx = shared.worker();
-            ctx.tick(ENGINE)?;
-            naive::evaluate_governed(&rule_to_cq(rule), snapshot, &ctx)
-        })?;
-        stats.rule_evaluations += p.rules.len();
-        for c in stats.rule_eval_counts.iter_mut() {
-            *c += 1;
-        }
-        let ctx = shared.worker();
-        for (rule, d) in p.rules.iter().zip(derived) {
-            let target = work.relation_mut(&rule.head.relation)?;
-            for t in d.iter() {
-                if target.insert(t.clone())? {
-                    ctx.charge_tuples(ENGINE, 1)?;
-                    delta
-                        .entry(rule.head.relation.clone())
-                        .or_default()
-                        .push(t.clone());
-                }
-            }
-        }
-    }
-
-    // Subsequent rounds: one job per (rule, IDB body atom with a nonempty
-    // delta), all evaluated against the round-start snapshot.
-    while delta.values().any(|v| !v.is_empty()) {
-        stats.rounds += 1;
-        for (name, tuples) in &delta {
-            let mut rel = positional_relation(arities[name]);
-            for t in tuples {
-                rel.insert(t.clone())?;
-            }
-            work.set_relation(delta::delta_relation_name(name), rel);
-        }
-
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        for (ri, rule) in p.rules.iter().enumerate() {
-            for (ai, batom) in rule.body.iter().enumerate() {
-                if delta.get(&batom.relation).is_some_and(|t| !t.is_empty()) {
-                    jobs.push((ri, ai));
-                }
-            }
-        }
-
-        let snapshot: &Database = work;
-        let derived: Vec<Relation> = pool.try_run(&jobs, |_, &(ri, ai)| {
-            let ctx = shared.worker();
-            ctx.tick(ENGINE)?;
-            naive::evaluate_governed(&delta_rule_cq(&p.rules[ri], ai), snapshot, &ctx)
-        })?;
-        stats.rule_evaluations += jobs.len();
-        for &(ri, _) in &jobs {
-            stats.rule_eval_counts[ri] += 1;
-        }
-
-        let ctx = shared.worker();
-        let mut next_delta: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
-        for (&(ri, _), d) in jobs.iter().zip(derived.iter()) {
-            let head = &p.rules[ri].head.relation;
-            let target = work.relation_mut(head)?;
-            for t in d.iter() {
-                if target.insert(t.clone())? {
-                    ctx.charge_tuples(ENGINE, 1)?;
-                    next_delta.entry(head.clone()).or_default().push(t.clone());
-                }
-            }
-        }
-        delta = next_delta;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

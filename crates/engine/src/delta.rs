@@ -1,6 +1,6 @@
 //! Reusable semi-naive Δ-rule machinery.
 //!
-//! Generalized out of [`crate::datalog_eval`]'s `seminaive_fixpoint` so that
+//! Generalized out of [`crate::datalog_eval`]'s semi-naive fixpoint so that
 //! incremental view maintenance (the `pq-ivm` crate) can drive the *same*
 //! delta propagation from an arbitrary seed — a freshly inserted batch of
 //! EDB rows — instead of only from round 0 of a fixpoint. The invariant both
@@ -71,15 +71,57 @@ pub fn idb_arities(p: &DatalogProgram) -> BTreeMap<String, usize> {
     m
 }
 
+/// One rule evaluation of a fixpoint round: rule `.0`, with body atom `.1`
+/// redirected at its relation's delta (`None`: the whole rule).
+pub(crate) type RuleJob = (usize, Option<usize>);
+
+/// Evaluate one round of rule jobs against `work` *as of the start of the
+/// round*, one pool task per job, and insert the derived head tuples in job
+/// order. Returns the newly inserted tuples per head relation. The result
+/// does not depend on the pool degree; a degree-1 pool runs the jobs in
+/// order on the caller.
+pub(crate) fn run_round(
+    p: &DatalogProgram,
+    work: &mut Database,
+    jobs: &[RuleJob],
+    stats: &mut FixpointStats,
+    ctx: &ExecutionContext,
+) -> Result<BTreeMap<String, Vec<Tuple>>> {
+    let snapshot: &Database = work;
+    let derived: Vec<Relation> = ctx.pool().try_run(jobs, |_, &(ri, delta_atom)| {
+        ctx.tick(ENGINE)?;
+        let rule = &p.rules[ri];
+        let cq = match delta_atom {
+            None => rule_to_cq(rule),
+            Some(i) => delta_rule_cq(rule, i),
+        };
+        naive::evaluate_governed(&cq, snapshot, ctx)
+    })?;
+    stats.rule_evaluations += jobs.len();
+    let mut fresh: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+    for (&(ri, _), d) in jobs.iter().zip(derived) {
+        stats.rule_eval_counts[ri] += 1;
+        let head = &p.rules[ri].head.relation;
+        let target = work.relation_mut(head)?;
+        for t in d.iter() {
+            if target.insert(t.clone())? {
+                ctx.charge_tuples(ENGINE, 1)?;
+                fresh.entry(head.clone()).or_default().push(t.clone());
+            }
+        }
+    }
+    Ok(fresh)
+}
+
 /// Propagate a delta to fixpoint by semi-naive Δ-rule evaluation.
 ///
 /// `seed` maps relation names (EDB *or* IDB — an inserted batch of base
 /// rows and a freshly derived round both work) to tuples that are already
 /// present in `work`. Each round registers the current delta under reserved
 /// `Δname` relations, evaluates every rule once per body atom with a
-/// nonempty delta (that atom redirected at the delta), and inserts the new
-/// head tuples — which become the next delta. Scaffolding relations are
-/// removed before returning.
+/// nonempty delta (that atom redirected at the delta) against the
+/// round-start state, and inserts the new head tuples — which become the
+/// next delta. Scaffolding relations are removed before returning.
 ///
 /// Returns every tuple inserted into `work`, per IDB relation (the seed
 /// itself is not included). `stats.rule_eval_counts` must have one slot per
@@ -115,36 +157,21 @@ pub fn propagate(
             work.set_relation(dname, rel);
         }
 
-        let mut next_delta: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+        let mut jobs: Vec<RuleJob> = Vec::new();
         for (ri, rule) in p.rules.iter().enumerate() {
             for (i, batom) in rule.body.iter().enumerate() {
-                let Some(tuples) = delta.get(&batom.relation) else {
-                    continue;
-                };
-                if tuples.is_empty() {
-                    continue;
-                }
-                ctx.tick(ENGINE)?;
-                stats.rule_evaluations += 1;
-                stats.rule_eval_counts[ri] += 1;
-                let derived = naive::evaluate_governed(&delta_rule_cq(rule, i), work, ctx)?;
-                let target = work.relation_mut(&rule.head.relation)?;
-                for t in derived.iter() {
-                    if target.insert(t.clone())? {
-                        ctx.charge_tuples(ENGINE, 1)?;
-                        next_delta
-                            .entry(rule.head.relation.clone())
-                            .or_default()
-                            .push(t.clone());
-                        grown
-                            .entry(rule.head.relation.clone())
-                            .or_default()
-                            .push(t.clone());
-                    }
+                if delta.get(&batom.relation).is_some_and(|t| !t.is_empty()) {
+                    jobs.push((ri, Some(i)));
                 }
             }
         }
-        delta = next_delta;
+        delta = run_round(p, work, &jobs, stats, ctx)?;
+        for (name, tuples) in &delta {
+            grown
+                .entry(name.clone())
+                .or_default()
+                .extend(tuples.iter().cloned());
+        }
     }
 
     for name in scaffolding {

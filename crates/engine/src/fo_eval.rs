@@ -52,7 +52,7 @@ pub fn holds(f: &FoFormula, db: &Database, binding: &Binding) -> Result<bool> {
 }
 
 /// [`holds`] under the resource limits of `ctx`. The recursion depth follows
-/// the formula's connective nesting, so the depth guard bounds it directly.
+/// the formula's connective nesting, so the depth limit bounds it directly.
 pub fn holds_governed(
     f: &FoFormula,
     db: &Database,
@@ -60,7 +60,7 @@ pub fn holds_governed(
     ctx: &ExecutionContext,
 ) -> Result<bool> {
     let dom = evaluation_domain(f, db);
-    holds_in(f, db, &dom, &mut binding.clone(), ctx)
+    holds_in(f, db, &dom, &mut binding.clone(), ctx, 0)
 }
 
 fn holds_in(
@@ -69,8 +69,9 @@ fn holds_in(
     dom: &[Value],
     binding: &mut Binding,
     ctx: &ExecutionContext,
+    depth: usize,
 ) -> Result<bool> {
-    let _depth = ctx.recurse(ENGINE)?;
+    let depth = ctx.descend(depth, ENGINE)?;
     match f {
         FoFormula::Atom(a) => {
             ctx.note_atom();
@@ -98,10 +99,10 @@ fn holds_in(
             }
             Ok(rel.contains(&Tuple::new(vals)))
         }
-        FoFormula::Not(g) => Ok(!holds_in(g, db, dom, binding, ctx)?),
+        FoFormula::Not(g) => Ok(!holds_in(g, db, dom, binding, ctx, depth)?),
         FoFormula::And(fs) => {
             for g in fs {
-                if !holds_in(g, db, dom, binding, ctx)? {
+                if !holds_in(g, db, dom, binding, ctx, depth)? {
                     return Ok(false);
                 }
             }
@@ -109,7 +110,7 @@ fn holds_in(
         }
         FoFormula::Or(fs) => {
             for g in fs {
-                if holds_in(g, db, dom, binding, ctx)? {
+                if holds_in(g, db, dom, binding, ctx, depth)? {
                     return Ok(true);
                 }
             }
@@ -120,7 +121,7 @@ fn holds_in(
             for val in dom {
                 ctx.tick(ENGINE)?;
                 binding.insert(v.clone(), val.clone());
-                if holds_in(g, db, dom, binding, ctx)? {
+                if holds_in(g, db, dom, binding, ctx, depth)? {
                     restore(binding, v, saved);
                     return Ok(true);
                 }
@@ -133,7 +134,7 @@ fn holds_in(
             for val in dom {
                 ctx.tick(ENGINE)?;
                 binding.insert(v.clone(), val.clone());
-                if !holds_in(g, db, dom, binding, ctx)? {
+                if !holds_in(g, db, dom, binding, ctx, depth)? {
                     restore(binding, v, saved);
                     return Ok(false);
                 }
@@ -211,7 +212,7 @@ pub fn evaluate_active_domain_governed(
     };
     let mut out = Relation::new(head_attrs(&q.head_terms))?;
     let mut binding = Binding::new();
-    enumerate_heads(q, db, &dom, &head_vars, 0, &mut binding, ctx, &mut out)?;
+    enumerate_heads(q, db, &dom, &head_vars, 0, &mut binding, ctx, &mut out, 0)?;
     Ok(out)
 }
 
@@ -225,10 +226,11 @@ fn enumerate_heads(
     binding: &mut Binding,
     ctx: &ExecutionContext,
     out: &mut Relation,
+    depth: usize,
 ) -> Result<()> {
-    let _depth = ctx.recurse(ENGINE)?;
+    let depth = ctx.descend(depth, ENGINE)?;
     if i == head_vars.len() {
-        if holds_in(&q.formula, db, dom, binding, ctx)? {
+        if holds_in(&q.formula, db, dom, binding, ctx, depth)? {
             let vals = q.head_terms.iter().map(|t| match t {
                 Term::Const(c) => c.clone(),
                 Term::Var(v) => binding.get(v).expect("head var bound").clone(),
@@ -241,7 +243,7 @@ fn enumerate_heads(
     for val in dom {
         ctx.tick(ENGINE)?;
         binding.insert(head_vars[i].to_string(), val.clone());
-        enumerate_heads(q, db, dom, head_vars, i + 1, binding, ctx, out)?;
+        enumerate_heads(q, db, dom, head_vars, i + 1, binding, ctx, out, depth)?;
     }
     binding.remove(head_vars[i]);
     Ok(())

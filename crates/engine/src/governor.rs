@@ -10,8 +10,8 @@
 //!
 //! [`ExecutionContext`] carries those four limits. Engines poll it at loop
 //! heads ([`ExecutionContext::tick`]), charge every materialized intermediate
-//! tuple against the budget ([`ExecutionContext::charge_tuples`]), and wrap
-//! recursive descents in an RAII depth guard ([`ExecutionContext::recurse`]).
+//! tuple against the budget ([`ExecutionContext::charge_tuples`]), and check
+//! the depth of their recursive descents ([`ExecutionContext::descend`]).
 //! When a limit trips, the engine unwinds with
 //! [`EngineError::ResourceExhausted`] — a structured "gave up" distinct from
 //! an empty answer — and the context's counters report how far it got.
@@ -26,36 +26,31 @@
 //! resource-exhaustion path through every engine without real clocks or
 //! threads.
 //!
-//! # `Cell` vs. atomics: the two budget modes
+//! # One envelope for any number of threads
 //!
-//! [`ExecutionContext`] keeps its counters in `Cell`s and is deliberately
-//! `!Sync`. That is the right default: a single-threaded evaluation charges
-//! its budget with plain loads and stores — no lock prefixes, no cache-line
-//! contention — and the type system guarantees nobody shares the context
-//! across threads by accident. The cost of that efficiency is that
-//! intra-query parallelism (`pq-exec`) cannot use it directly.
+//! The context is `Sync`: its counters are atomics, and it also carries the
+//! [`Pool`] the query may fan out on ([`ExecutionContext::pool`]). Engines
+//! hand `&ExecutionContext` to every pool worker, so all workers draw down
+//! **one** tuple budget against **one** deadline, and exhaustion in any
+//! worker makes every other worker's next charge fail too. The default pool
+//! has degree 1 and runs every item inline on the caller, so a serial
+//! evaluation is the degree-1 case of the same code, charging the same
+//! counters in the same order (with plain loads and stores, as nothing else
+//! can touch them then).
 //!
-//! [`SharedContext`] is the explicit opt-in to the other side of the trade:
-//! [`ExecutionContext::into_shared`] *moves* the limits and counters into
-//! `AtomicU64`s behind an `Arc`, and [`SharedContext::worker`] mints
-//! per-thread `ExecutionContext`s that delegate charging to the shared
-//! atomics. Every worker then draws down **one** tuple budget against
-//! **one** deadline, so exhaustion in any worker makes every other worker's
-//! next charge fail too — a single resource envelope governs the whole
-//! parallel query, exactly as it would govern the serial one. The charging
-//! *protocol* (what counts as a tick, what gets charged, when the clock is
-//! consulted) is identical in both modes; only the memory primitive
-//! differs, and the round-trip tests below hold the two modes to that.
-//! Worker-local state that is semantically per-thread — the recursion depth
-//! and the tick-amortization counter — stays in `Cell`s on each worker
-//! context.
+//! Only envelope-wide state lives here. Recursion depth is a call-stack
+//! position, so the recursive engines pass it as an argument and ask
+//! [`ExecutionContext::descend`] whether one more level is allowed. A race
+//! between chunks of one search (first witness wins) is scoped to that
+//! search, so the engine running it checks its own race token.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 #[cfg(any(test, feature = "fault-injection"))]
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use pq_exec::Pool;
 
 use crate::error::{EngineError, Result};
 
@@ -129,11 +124,10 @@ pub struct FaultSpec {
     pub kind: ResourceKind,
 }
 
-/// Resource limits and live counters for one evaluation.
+/// Resource limits, live counters and the worker pool for one evaluation.
 ///
-/// Interior mutability (`Cell`) lets engines share one `&ExecutionContext`
-/// down arbitrarily nested call chains; the context is intentionally not
-/// `Sync` — cross-thread signalling goes through [`CancellationToken`].
+/// Engines share one `&ExecutionContext` down arbitrarily nested call
+/// chains and across every worker of [`ExecutionContext::pool`].
 ///
 /// A context is reusable across engines: the budget and deadline are *spent*,
 /// not reset, so handing the same context to a fallback engine naturally
@@ -142,23 +136,44 @@ pub struct FaultSpec {
 ///
 /// Deliberately not `Clone`: a copy would fork the budget counters, silently
 /// doubling the allowance.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ExecutionContext {
     deadline: Option<Instant>,
-    tuples_remaining: Option<Cell<u64>>,
+    /// Whether a tuple budget is in force (`tuples_remaining` is only
+    /// meaningful when set — an `AtomicU64` has no `None`).
+    budgeted: bool,
+    tuples_remaining: AtomicU64,
     max_depth: Option<usize>,
     cancel: Option<CancellationToken>,
-    ticks: Cell<u64>,
-    depth: Cell<usize>,
-    atoms_processed: Cell<u64>,
-    tuples_materialized: Cell<u64>,
-    /// When set, this is a worker handle of a [`SharedContext`]: limits and
-    /// cumulative counters live in the shared atomics, and the local fields
-    /// above only track per-thread state (depth, tick amortization) plus any
-    /// *additional* local limits (e.g. a per-race cancellation token).
-    shared: Option<Arc<SharedState>>,
+    ticks: AtomicU64,
+    atoms_processed: AtomicU64,
+    tuples_materialized: AtomicU64,
+    pool: Pool,
+    /// Fast-path flag so unarmed contexts never touch the mutex in `tick`.
     #[cfg(any(test, feature = "fault-injection"))]
-    fault: Cell<Option<FaultSpec>>,
+    fault_armed: AtomicBool,
+    #[cfg(any(test, feature = "fault-injection"))]
+    fault: Mutex<Option<FaultSpec>>,
+}
+
+impl Default for ExecutionContext {
+    fn default() -> Self {
+        ExecutionContext {
+            deadline: None,
+            budgeted: false,
+            tuples_remaining: AtomicU64::new(0),
+            max_depth: None,
+            cancel: None,
+            ticks: AtomicU64::new(0),
+            atoms_processed: AtomicU64::new(0),
+            tuples_materialized: AtomicU64::new(0),
+            pool: Pool::new(1),
+            #[cfg(any(test, feature = "fault-injection"))]
+            fault_armed: AtomicBool::new(false),
+            #[cfg(any(test, feature = "fault-injection"))]
+            fault: Mutex::new(None),
+        }
+    }
 }
 
 impl ExecutionContext {
@@ -168,7 +183,8 @@ impl ExecutionContext {
         Self::default()
     }
 
-    /// Start from no limits; chain `with_*` to add them.
+    /// Start from no limits and a degree-1 pool; chain `with_*` to add
+    /// limits or parallelism.
     pub fn new() -> Self {
         Self::default()
     }
@@ -185,7 +201,8 @@ impl ExecutionContext {
     /// more than `budget` intermediate tuples.
     #[must_use]
     pub fn with_tuple_budget(mut self, budget: u64) -> Self {
-        self.tuples_remaining = Some(Cell::new(budget));
+        self.budgeted = true;
+        self.tuples_remaining = AtomicU64::new(budget);
         self
     }
 
@@ -205,81 +222,52 @@ impl ExecutionContext {
         self
     }
 
+    /// Let engines fan this evaluation out on `pool`. Output is identical
+    /// at any pool degree; only the wall-clock time changes.
+    #[must_use]
+    pub fn with_pool(mut self, pool: Pool) -> Self {
+        self.pool = pool;
+        self
+    }
+
     /// Arm deterministic fault injection: the first tick at or past
     /// `spec.after_ticks` fails with `spec.kind`, then the fault disarms.
     #[cfg(any(test, feature = "fault-injection"))]
     #[must_use]
     pub fn with_fault(mut self, spec: FaultSpec) -> Self {
-        self.fault = Cell::new(Some(spec));
+        self.fault_armed = AtomicBool::new(true);
+        self.fault = Mutex::new(Some(spec));
         self
     }
 
-    // ---- shared-budget mode ----
-
-    /// Move this context's limits and counters into a [`SharedContext`]: the
-    /// `Sync` shared-budget mode used for intra-query parallelism.
-    ///
-    /// Consumes `self` (the budget must not survive in two places); the
-    /// shared context's worker handles then charge the same envelope the
-    /// serial context would have. Depth already entered on `self` is
-    /// per-thread state and does not transfer.
-    #[must_use]
-    pub fn into_shared(self) -> SharedContext {
-        SharedContext {
-            state: Arc::new(SharedState {
-                deadline: self.deadline,
-                budgeted: self.tuples_remaining.is_some(),
-                tuples_remaining: AtomicU64::new(
-                    self.tuples_remaining.as_ref().map_or(0, Cell::get),
-                ),
-                max_depth: self.max_depth,
-                cancel: self.cancel,
-                ticks: AtomicU64::new(self.ticks.get()),
-                atoms_processed: AtomicU64::new(self.atoms_processed.get()),
-                tuples_materialized: AtomicU64::new(self.tuples_materialized.get()),
-                #[cfg(any(test, feature = "fault-injection"))]
-                fault_armed: AtomicBool::new(self.fault.get().is_some()),
-                #[cfg(any(test, feature = "fault-injection"))]
-                fault: Mutex::new(self.fault.get()),
-            }),
-        }
+    /// The pool engines fan out on (degree 1 unless set with
+    /// [`ExecutionContext::with_pool`]).
+    pub fn pool(&self) -> &Pool {
+        &self.pool
     }
 
     // ---- accounting reads ----
 
-    /// Ticks seen so far (loop-head polls across all engines on this
-    /// context; in shared mode, across all workers of the envelope).
+    /// Ticks seen so far (loop-head polls across all engines and workers on
+    /// this context).
     pub fn ticks(&self) -> u64 {
-        match &self.shared {
-            Some(sh) => sh.ticks.load(Ordering::Relaxed),
-            None => self.ticks.get(),
-        }
+        self.ticks.load(Ordering::Relaxed)
     }
 
     /// Atoms (or operators/rules, per engine) processed so far.
     pub fn atoms_processed(&self) -> u64 {
-        match &self.shared {
-            Some(sh) => sh.atoms_processed.load(Ordering::Relaxed),
-            None => self.atoms_processed.get(),
-        }
+        self.atoms_processed.load(Ordering::Relaxed)
     }
 
     /// Intermediate tuples charged so far.
     pub fn tuples_materialized(&self) -> u64 {
-        match &self.shared {
-            Some(sh) => sh.tuples_materialized.load(Ordering::Relaxed),
-            None => self.tuples_materialized.get(),
-        }
+        self.tuples_materialized.load(Ordering::Relaxed)
     }
 
     /// Tuples still allowed, or `None` when unbudgeted.
     pub fn tuples_remaining(&self) -> Option<u64> {
-        if let Some(sh) = &self.shared {
-            return sh
-                .budgeted
-                .then(|| sh.tuples_remaining.load(Ordering::Relaxed));
-        }
-        self.tuples_remaining.as_ref().map(Cell::get)
+        self.budgeted
+            .then(|| self.tuples_remaining.load(Ordering::Relaxed))
     }
 
     /// Is any limit or fault configured? (`false` for
@@ -287,21 +275,11 @@ impl ExecutionContext {
     /// fallback machinery when nothing can trip.)
     pub fn is_limited(&self) -> bool {
         #[cfg(any(test, feature = "fault-injection"))]
-        if self.fault.get().is_some() {
+        if self.fault_armed.load(Ordering::Relaxed) {
             return true;
         }
-        if let Some(sh) = &self.shared {
-            #[cfg(any(test, feature = "fault-injection"))]
-            if sh.fault_armed.load(Ordering::Relaxed) {
-                return true;
-            }
-            if sh.deadline.is_some() || sh.budgeted || sh.max_depth.is_some() || sh.cancel.is_some()
-            {
-                return true;
-            }
-        }
         self.deadline.is_some()
-            || self.tuples_remaining.is_some()
+            || self.budgeted
             || self.max_depth.is_some()
             || self.cancel.is_some()
     }
@@ -309,42 +287,24 @@ impl ExecutionContext {
     // ---- charging ----
 
     /// Loop-head poll. Cheap (counter increment); consults the wall clock and
-    /// cancellation flag once every [`TICKS_PER_CLOCK_CHECK`] calls.
+    /// cancellation flag once every [`TICKS_PER_CLOCK_CHECK`] calls, counted
+    /// across every worker of the envelope.
     #[inline]
     pub fn tick(&self, engine: &'static str) -> Result<()> {
-        // The local counter always advances (per-thread diagnostics), but
-        // clock-check amortization runs on the *cumulative* count: in shared
-        // mode each worker may only ever see a handful of ticks, so keying
-        // the check on the local counter would let a cancelled envelope go
-        // unnoticed that the serial engine — one counter for all the work —
-        // would have caught.
-        let t = self.ticks.get() + 1;
-        self.ticks.set(t);
+        let t = self.bump(&self.ticks, 1);
         #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = self.fault.get() {
-            if t >= f.after_ticks {
-                self.fault.set(None); // one-shot: disarm so fallbacks proceed
-                return Err(self.exhausted(f.kind, engine));
-            }
-        }
-        let cumulative = if let Some(sh) = &self.shared {
-            let global = sh.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-            #[cfg(any(test, feature = "fault-injection"))]
-            if sh.fault_armed.load(Ordering::Relaxed) {
-                let mut slot = sh.fault.lock().expect("fault slot poisoned");
-                if let Some(f) = *slot {
-                    if global >= f.after_ticks {
-                        *slot = None; // one-shot, envelope-wide
-                        sh.fault_armed.store(false, Ordering::Relaxed);
-                        return Err(self.exhausted(f.kind, engine));
-                    }
+        if self.fault_armed.load(Ordering::Relaxed) {
+            let mut slot = self.fault.lock().expect("fault slot poisoned");
+            if let Some(f) = *slot {
+                if t >= f.after_ticks {
+                    // One-shot: disarm so fallbacks proceed.
+                    *slot = None;
+                    self.fault_armed.store(false, Ordering::Relaxed);
+                    return Err(self.exhausted(f.kind, engine));
                 }
             }
-            global
-        } else {
-            t
-        };
-        if cumulative.is_multiple_of(TICKS_PER_CLOCK_CHECK) {
+        }
+        if t.is_multiple_of(TICKS_PER_CLOCK_CHECK) {
             self.check_clock_and_cancel(engine)?;
         }
         Ok(())
@@ -353,83 +313,74 @@ impl ExecutionContext {
     /// Count one processed atom/operator/rule (diagnostics only; never fails).
     #[inline]
     pub fn note_atom(&self) {
-        match &self.shared {
-            Some(sh) => {
-                sh.atoms_processed.fetch_add(1, Ordering::Relaxed);
-            }
-            None => self.atoms_processed.set(self.atoms_processed.get() + 1),
-        }
+        self.bump(&self.atoms_processed, 1);
     }
 
     /// Charge `n` materialized intermediate tuples against the budget.
     #[inline]
     pub fn charge_tuples(&self, engine: &'static str, n: u64) -> Result<()> {
-        if let Some(sh) = &self.shared {
-            sh.tuples_materialized.fetch_add(n, Ordering::Relaxed);
-            if sh.budgeted {
-                let mut have = sh.tuples_remaining.load(Ordering::Relaxed);
-                loop {
-                    if n > have {
-                        // Sticky zero: every other worker's next charge also
-                        // fails, so exhaustion anywhere stops the envelope.
-                        sh.tuples_remaining.store(0, Ordering::Relaxed);
-                        return Err(self.exhausted(ResourceKind::TupleBudget, engine));
-                    }
-                    match sh.tuples_remaining.compare_exchange_weak(
-                        have,
-                        have - n,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => have = actual,
-                    }
-                }
-            }
+        self.bump(&self.tuples_materialized, n);
+        if !self.budgeted {
             return Ok(());
         }
-        self.tuples_materialized
-            .set(self.tuples_materialized.get() + n);
-        if let Some(rem) = &self.tuples_remaining {
-            let have = rem.get();
+        let mut have = self.tuples_remaining.load(Ordering::Relaxed);
+        loop {
             if n > have {
-                rem.set(0);
+                // Sticky zero: every other worker's next charge also fails,
+                // so exhaustion anywhere stops the envelope.
+                self.tuples_remaining.store(0, Ordering::Relaxed);
                 return Err(self.exhausted(ResourceKind::TupleBudget, engine));
             }
-            rem.set(have - n);
+            match self.tuples_remaining.compare_exchange_weak(
+                have,
+                have - n,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Ok(()),
+                Err(actual) => have = actual,
+            }
         }
-        Ok(())
     }
 
-    /// Enter one level of governed recursion. The returned guard releases the
-    /// level when dropped; hold it for the duration of the recursive call:
+    /// Enter one level of governed recursion below `depth` and return the
+    /// new depth; recursive engines start at 0 and pass the result down:
     ///
     /// ```
     /// # use pq_engine::governor::ExecutionContext;
-    /// # fn walk(ctx: &ExecutionContext, n: u32) -> pq_engine::Result<u32> {
-    /// let _depth = ctx.recurse("demo")?;
-    /// if n == 0 { return Ok(0); }
-    /// walk(ctx, n - 1)
-    /// # }
-    /// # let ctx = ExecutionContext::new().with_max_depth(8);
-    /// # assert!(walk(&ctx, 5).is_ok());
-    /// # assert!(walk(&ctx, 50).is_err());
+    /// fn walk(ctx: &ExecutionContext, n: u32, depth: usize) -> pq_engine::Result<u32> {
+    ///     let depth = ctx.descend(depth, "demo")?;
+    ///     if n == 0 { return Ok(0); }
+    ///     walk(ctx, n - 1, depth)
+    /// }
+    /// let ctx = ExecutionContext::new().with_max_depth(8);
+    /// assert!(walk(&ctx, 5, 0).is_ok());
+    /// assert!(walk(&ctx, 50, 0).is_err());
     /// ```
     #[inline]
-    pub fn recurse(&self, engine: &'static str) -> Result<DepthGuard<'_>> {
-        let d = self.depth.get() + 1;
-        // Depth is per-thread (it mirrors a call stack), but the *limit* may
-        // come from the shared envelope.
-        let max_depth = self
-            .max_depth
-            .or_else(|| self.shared.as_ref().and_then(|sh| sh.max_depth));
-        if let Some(max) = max_depth {
-            if d > max {
-                return Err(self.exhausted(ResourceKind::DepthLimit, engine));
-            }
+    pub fn descend(&self, depth: usize, engine: &'static str) -> Result<usize> {
+        let d = depth + 1;
+        if self.max_depth.is_some_and(|max| d > max) {
+            return Err(self.exhausted(ResourceKind::DepthLimit, engine));
         }
-        self.depth.set(d);
-        Ok(DepthGuard { ctx: self })
+        Ok(d)
+    }
+
+    /// Add `n` to one of the counters and return its new value. Engines
+    /// fan out only on [`ExecutionContext::pool`], and a degree-1 pool runs
+    /// every task on the calling thread, so then only that thread updates
+    /// the counters: a plain load and store cannot lose an update, and it
+    /// costs what a `Cell` would (governed scans tick once per tuple, so an
+    /// atomic add there is measurable). Wider pools need the atomic add.
+    #[inline]
+    fn bump(&self, counter: &AtomicU64, n: u64) -> u64 {
+        if self.pool.threads() == 1 {
+            let v = counter.load(Ordering::Relaxed) + n;
+            counter.store(v, Ordering::Relaxed);
+            v
+        } else {
+            counter.fetch_add(n, Ordering::Relaxed) + n
+        }
     }
 
     /// Build the structured exhaustion error for this context's counters.
@@ -445,159 +396,17 @@ impl ExecutionContext {
     }
 
     fn check_clock_and_cancel(&self, engine: &'static str) -> Result<()> {
-        // A worker's own token (e.g. a per-race cancel) is checked first,
-        // then the shared envelope's token and deadline.
-        if let Some(tok) = &self.cancel {
-            if tok.is_cancelled() {
-                return Err(self.exhausted(ResourceKind::Cancelled, engine));
-            }
+        if self
+            .cancel
+            .as_ref()
+            .is_some_and(CancellationToken::is_cancelled)
+        {
+            return Err(self.exhausted(ResourceKind::Cancelled, engine));
         }
-        if let Some(sh) = &self.shared {
-            if let Some(tok) = &sh.cancel {
-                if tok.is_cancelled() {
-                    return Err(self.exhausted(ResourceKind::Cancelled, engine));
-                }
-            }
-            if let Some(deadline) = sh.deadline {
-                if Instant::now() > deadline {
-                    return Err(self.exhausted(ResourceKind::Timeout, engine));
-                }
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                return Err(self.exhausted(ResourceKind::Timeout, engine));
-            }
+        if self.deadline.is_some_and(|d| Instant::now() > d) {
+            return Err(self.exhausted(ResourceKind::Timeout, engine));
         }
         Ok(())
-    }
-}
-
-/// The `Sync` interior of a [`SharedContext`]: one resource envelope shared
-/// by every worker of a parallel evaluation.
-#[derive(Debug)]
-struct SharedState {
-    deadline: Option<Instant>,
-    /// Whether a tuple budget is in force (`tuples_remaining` is only
-    /// meaningful when set — an `AtomicU64` has no `None`).
-    budgeted: bool,
-    tuples_remaining: AtomicU64,
-    max_depth: Option<usize>,
-    cancel: Option<CancellationToken>,
-    ticks: AtomicU64,
-    atoms_processed: AtomicU64,
-    tuples_materialized: AtomicU64,
-    /// Fast-path flag so unarmed contexts never touch the mutex in `tick`.
-    #[cfg(any(test, feature = "fault-injection"))]
-    fault_armed: AtomicBool,
-    #[cfg(any(test, feature = "fault-injection"))]
-    fault: Mutex<Option<FaultSpec>>,
-}
-
-/// The `Sync` shared-budget mode of the governor (see the module docs for
-/// the `Cell`-vs-atomic trade).
-///
-/// Built with [`ExecutionContext::into_shared`]; hand every worker thread a
-/// context from [`SharedContext::worker`] and they all draw down the same
-/// tuple budget against the same deadline and cancellation token. Cloning
-/// the handle is cheap and does **not** fork the budget — all clones point
-/// at the same envelope.
-#[derive(Debug, Clone)]
-pub struct SharedContext {
-    state: Arc<SharedState>,
-}
-
-impl SharedContext {
-    /// Mint a worker handle: an [`ExecutionContext`] whose charging
-    /// delegates to this shared envelope. Per-thread state (recursion depth,
-    /// tick amortization) is fresh; callers may still add worker-local
-    /// limits — typically [`ExecutionContext::with_cancellation`] with a
-    /// race-scoped token.
-    pub fn worker(&self) -> ExecutionContext {
-        ExecutionContext {
-            shared: Some(Arc::clone(&self.state)),
-            ..ExecutionContext::default()
-        }
-    }
-
-    /// Ticks seen across all workers of the envelope.
-    pub fn ticks(&self) -> u64 {
-        self.state.ticks.load(Ordering::Relaxed)
-    }
-
-    /// Atoms processed across all workers.
-    pub fn atoms_processed(&self) -> u64 {
-        self.state.atoms_processed.load(Ordering::Relaxed)
-    }
-
-    /// Tuples charged across all workers.
-    pub fn tuples_materialized(&self) -> u64 {
-        self.state.tuples_materialized.load(Ordering::Relaxed)
-    }
-
-    /// Tuples still allowed, or `None` when unbudgeted.
-    pub fn tuples_remaining(&self) -> Option<u64> {
-        self.state
-            .budgeted
-            .then(|| self.state.tuples_remaining.load(Ordering::Relaxed))
-    }
-
-    /// Is any limit or fault configured on the envelope?
-    pub fn is_limited(&self) -> bool {
-        #[cfg(any(test, feature = "fault-injection"))]
-        if self.state.fault_armed.load(Ordering::Relaxed) {
-            return true;
-        }
-        self.state.deadline.is_some()
-            || self.state.budgeted
-            || self.state.max_depth.is_some()
-            || self.state.cancel.is_some()
-    }
-
-    /// Move the envelope back into a serial [`ExecutionContext`] — the
-    /// inverse of [`ExecutionContext::into_shared`], for callers that fan
-    /// back in and continue single-threaded (e.g. a planner fallback chain
-    /// after a parallel attempt).
-    ///
-    /// Call this after every worker context has been dropped; if other
-    /// handles to the envelope are still alive, the returned context gets a
-    /// *snapshot* of the budget and the stragglers keep the shared one —
-    /// the allowance would be double-counted from that point on.
-    #[must_use]
-    pub fn into_unshared(self) -> ExecutionContext {
-        let st = &self.state;
-        let ctx = ExecutionContext {
-            deadline: st.deadline,
-            tuples_remaining: st
-                .budgeted
-                .then(|| Cell::new(st.tuples_remaining.load(Ordering::Relaxed))),
-            max_depth: st.max_depth,
-            cancel: st.cancel.clone(),
-            ticks: Cell::new(st.ticks.load(Ordering::Relaxed)),
-            depth: Cell::new(0),
-            atoms_processed: Cell::new(st.atoms_processed.load(Ordering::Relaxed)),
-            tuples_materialized: Cell::new(st.tuples_materialized.load(Ordering::Relaxed)),
-            shared: None,
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault: Cell::new(None),
-        };
-        #[cfg(any(test, feature = "fault-injection"))]
-        ctx.fault
-            .set(*st.fault.lock().expect("fault slot poisoned"));
-        ctx
-    }
-}
-
-/// RAII guard for one governed recursion level (see
-/// [`ExecutionContext::recurse`]).
-#[derive(Debug)]
-pub struct DepthGuard<'a> {
-    ctx: &'a ExecutionContext,
-}
-
-impl Drop for DepthGuard<'_> {
-    fn drop(&mut self) {
-        self.ctx.depth.set(self.ctx.depth.get() - 1);
     }
 }
 
@@ -614,6 +423,7 @@ mod tests {
         ctx.charge_tuples("t", u64::MAX / 2).unwrap();
         assert!(!ctx.is_limited());
         assert_eq!(ctx.ticks(), 10_000);
+        assert_eq!(ctx.pool().threads(), 1);
     }
 
     #[test]
@@ -679,24 +489,25 @@ mod tests {
     }
 
     #[test]
-    fn depth_guard_releases_on_drop() {
+    fn descend_counts_levels_against_the_limit() {
         let ctx = ExecutionContext::new().with_max_depth(2);
-        let g1 = ctx.recurse("t").unwrap();
-        let g2 = ctx.recurse("t").unwrap();
+        let d1 = ctx.descend(0, "t").unwrap();
+        let d2 = ctx.descend(d1, "t").unwrap();
+        assert_eq!(d2, 2);
         assert!(matches!(
-            ctx.recurse("t"),
+            ctx.descend(d2, "t"),
             Err(EngineError::ResourceExhausted {
                 kind: ResourceKind::DepthLimit,
                 ..
             })
         ));
-        drop(g2);
-        let g2b = ctx.recurse("t").unwrap();
-        drop(g2b);
-        drop(g1);
-        // Both levels free again.
-        let _a = ctx.recurse("t").unwrap();
-        let _b = ctx.recurse("t").unwrap();
+        // A sibling branch at the same depth is still allowed.
+        assert_eq!(ctx.descend(d1, "t").unwrap(), 2);
+        // Unlimited contexts never refuse.
+        assert_eq!(
+            ExecutionContext::unlimited().descend(1000, "t").unwrap(),
+            1001
+        );
     }
 
     #[test]
@@ -708,164 +519,99 @@ mod tests {
         assert!(ctx.charge_tuples("second-engine", 40).is_err());
     }
 
-    /// Run the same charging script in serial and shared mode and compare
-    /// every observable: counters, remaining budget, and the trip point.
     #[test]
-    fn shared_and_serial_modes_charge_identically() {
-        let script = |ctx: &ExecutionContext| -> (Vec<bool>, u64, u64, u64, Option<u64>) {
-            let mut outcomes = Vec::new();
-            for step in 0..20u64 {
-                let ok = ctx.tick("t").is_ok() && ctx.charge_tuples("t", step).is_ok();
-                ctx.note_atom();
-                outcomes.push(ok);
-            }
-            (
-                outcomes,
-                ctx.ticks(),
-                ctx.atoms_processed(),
-                ctx.tuples_materialized(),
-                ctx.tuples_remaining(),
-            )
-        };
-        let serial = ExecutionContext::new().with_tuple_budget(100);
-        let shared = ExecutionContext::new().with_tuple_budget(100).into_shared();
-        let worker = shared.worker();
-        assert_eq!(script(&serial), script(&worker));
-    }
-
-    #[test]
-    fn into_shared_round_trips_counters_and_budget() {
-        let ctx = ExecutionContext::new()
-            .with_tuple_budget(100)
-            .with_max_depth(7);
-        ctx.charge_tuples("t", 30).unwrap();
-        ctx.tick("t").unwrap();
-        ctx.note_atom();
-
-        let shared = ctx.into_shared();
-        let w = shared.worker();
-        assert!(w.is_limited());
-        w.charge_tuples("t", 20).unwrap();
-        w.tick("t").unwrap();
-        assert_eq!(shared.tuples_remaining(), Some(50));
-
-        drop(w);
-        let back = shared.into_unshared();
-        assert_eq!(back.tuples_remaining(), Some(50));
-        assert_eq!(back.tuples_materialized(), 50);
-        assert_eq!(back.ticks(), 2);
-        assert_eq!(back.atoms_processed(), 1);
-        // The reconstructed serial context keeps enforcing the same budget…
-        assert!(back.charge_tuples("t", 50).is_ok());
-        let err = back.charge_tuples("t", 1).unwrap_err();
+    fn budget_exhaustion_is_sticky() {
+        let ctx = ExecutionContext::new().with_tuple_budget(10);
+        ctx.charge_tuples("t", 8).unwrap();
+        assert!(ctx.charge_tuples("t", 5).is_err(), "overdraw");
+        // Sticky zero: even a tiny charge fails afterwards, so a worker
+        // that overdraws stops every other worker of the envelope.
         assert!(matches!(
-            err,
-            EngineError::ResourceExhausted {
+            ctx.charge_tuples("t", 1),
+            Err(EngineError::ResourceExhausted {
                 kind: ResourceKind::TupleBudget,
                 ..
-            }
+            })
         ));
-        // …and the same depth limit.
-        assert!(back.recurse("t").is_ok());
+        assert_eq!(ctx.tuples_remaining(), Some(0));
     }
 
+    /// A tuple budget and an injected fault trip at the same *global*
+    /// charge and tick whether one thread or four pool workers drive the
+    /// context: the envelope counts every worker's charges and ticks.
     #[test]
-    fn shared_budget_exhaustion_in_one_worker_stops_the_others() {
-        let shared = ExecutionContext::new().with_tuple_budget(10).into_shared();
-        let w1 = shared.worker();
-        let w2 = shared.worker();
-        w1.charge_tuples("t", 8).unwrap();
-        assert!(w2.charge_tuples("t", 5).is_err(), "w2 overdraws");
-        // Sticky zero: w1 is also out, even for a tiny charge.
-        let err = w1.charge_tuples("t", 1).unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::ResourceExhausted {
-                kind: ResourceKind::TupleBudget,
-                ..
-            }
-        ));
-        assert_eq!(shared.tuples_remaining(), Some(0));
-    }
-
-    #[test]
-    fn shared_cancellation_reaches_every_worker() {
-        let token = CancellationToken::new();
-        let shared = ExecutionContext::new()
-            .with_cancellation(token.clone())
-            .into_shared();
-        token.cancel();
-        for _ in 0..2 {
-            let w = shared.worker();
-            let mut tripped = None;
-            for _ in 0..TICKS_PER_CLOCK_CHECK {
-                if let Err(e) = w.tick("t") {
-                    tripped = Some(e);
-                    break;
-                }
-            }
-            assert!(matches!(
-                tripped,
-                Some(EngineError::ResourceExhausted {
-                    kind: ResourceKind::Cancelled,
-                    ..
+    fn budget_and_fault_trip_at_the_same_global_point_on_any_number_of_threads() {
+        const BUDGET: u64 = 100;
+        const FAULT_AT: u64 = 50;
+        for threads in [1, 4] {
+            let ctx = ExecutionContext::new()
+                .with_tuple_budget(BUDGET)
+                .with_fault(FaultSpec {
+                    after_ticks: FAULT_AT,
+                    kind: ResourceKind::Timeout,
                 })
-            ));
+                .with_pool(Pool::new(threads));
+            assert!(ctx.is_limited());
+
+            // Ticks 1..FAULT_AT-1, spread over the workers: none trips.
+            let early: Vec<u64> = (1..FAULT_AT).collect();
+            let ok = ctx.pool().try_run(&early, |_, _| ctx.tick("t"));
+            assert!(ok.is_ok(), "{threads} threads: fault fired early");
+            // The FAULT_AT-th global tick trips, whoever takes it…
+            assert!(
+                matches!(
+                    ctx.tick("t"),
+                    Err(EngineError::ResourceExhausted {
+                        kind: ResourceKind::Timeout,
+                        ..
+                    })
+                ),
+                "{threads} threads"
+            );
+            // …exactly once: the fault is disarmed for every worker.
+            let late: Vec<u64> = (0..64).collect();
+            assert!(ctx.pool().try_run(&late, |_, _| ctx.tick("t")).is_ok());
+            assert_eq!(ctx.ticks(), FAULT_AT + 64, "{threads} threads");
+
+            // The whole budget, one tuple per item across the workers.
+            let charges: Vec<u64> = (0..BUDGET).collect();
+            let ok = ctx
+                .pool()
+                .try_run(&charges, |_, _| ctx.charge_tuples("t", 1));
+            assert!(ok.is_ok(), "{threads} threads: budget tripped early");
+            assert_eq!(ctx.tuples_remaining(), Some(0), "{threads} threads");
+            // The next global charge trips.
+            let err = ctx.charge_tuples("t", 1).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EngineError::ResourceExhausted {
+                        kind: ResourceKind::TupleBudget,
+                        tuples_materialized,
+                        ..
+                    } if tuples_materialized == BUDGET + 1
+                ),
+                "{threads} threads: {err:?}"
+            );
         }
     }
 
     #[test]
-    fn worker_local_cancel_composes_with_the_shared_envelope() {
-        let race = CancellationToken::new();
-        let shared = ExecutionContext::new()
-            .with_tuple_budget(1000)
-            .into_shared();
-        let w = shared.worker().with_cancellation(race.clone());
-        race.cancel();
-        let mut tripped = None;
-        for _ in 0..TICKS_PER_CLOCK_CHECK {
-            if let Err(e) = w.tick("t") {
-                tripped = Some(e);
-                break;
-            }
-        }
+    fn cancellation_reaches_every_worker() {
+        let token = CancellationToken::new();
+        let ctx = ExecutionContext::new()
+            .with_cancellation(token.clone())
+            .with_pool(Pool::new(2));
+        token.cancel();
+        let items: Vec<u64> = (0..2 * TICKS_PER_CLOCK_CHECK).collect();
+        let res = ctx.pool().try_run(&items, |_, _| ctx.tick("t"));
         assert!(matches!(
-            tripped,
-            Some(EngineError::ResourceExhausted {
+            res,
+            Err(EngineError::ResourceExhausted {
                 kind: ResourceKind::Cancelled,
                 ..
             })
         ));
-        // The envelope itself is untouched: a fresh worker proceeds.
-        assert!(shared.worker().charge_tuples("t", 1).is_ok());
-    }
-
-    #[test]
-    fn shared_fault_is_one_shot_across_workers() {
-        let shared = ExecutionContext::new()
-            .with_fault(FaultSpec {
-                after_ticks: 3,
-                kind: ResourceKind::Timeout,
-            })
-            .into_shared();
-        assert!(shared.is_limited());
-        let w1 = shared.worker();
-        let w2 = shared.worker();
-        w1.tick("t").unwrap();
-        w2.tick("t").unwrap();
-        // Third global tick trips, whoever takes it.
-        assert!(matches!(
-            w1.tick("t"),
-            Err(EngineError::ResourceExhausted {
-                kind: ResourceKind::Timeout,
-                ..
-            })
-        ));
-        // One-shot: disarmed for every worker afterwards.
-        for _ in 0..10 {
-            w2.tick("t").unwrap();
-        }
-        assert!(!shared.is_limited());
     }
 
     #[test]

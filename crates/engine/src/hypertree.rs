@@ -19,24 +19,20 @@
 //! A width-1 decomposition makes this engine coincide with Yannakakis; the
 //! planner still routes acyclic queries there directly and reserves this
 //! engine for the new Fig. 1 cell: cyclic, pure, hypertree width ≤
-//! [`DEFAULT_WIDTH_LIMIT`]. Parallel variants fan the independent bag
-//! materializations out over a [`Pool`] and reuse the level-scheduled
-//! semijoin sweeps, producing byte-identical output at any thread count.
+//! [`DEFAULT_WIDTH_LIMIT`]. The independent bag materializations fan out
+//! over the context's pool, and the sweeps are the level-scheduled passes
+//! of the Yannakakis engine, so the output is the same at any pool degree.
 
 use std::collections::BTreeSet;
 
 use pq_data::{Database, Relation, Tuple};
-use pq_exec::Pool;
 use pq_hypergraph::{decompose, Hypergraph, HypertreeDecomposition, JoinTree, DEFAULT_WIDTH_LIMIT};
-use pq_query::{ConjunctiveQuery, Term};
+use pq_query::ConjunctiveQuery;
 
-use crate::binding::head_attrs;
+use crate::binding::check_head_safety;
 use crate::error::{EngineError, Result};
-use crate::governor::{ExecutionContext, SharedContext};
-use crate::yannakakis::{
-    atom_relation_governed, parallel_atom_relations, parallel_downward_pass, parallel_output_join,
-    parallel_upward_pass, zj_vars,
-};
+use crate::governor::ExecutionContext;
+use crate::yannakakis::{atom_relations, reduce_join_project, upward_pass, vacuous_output};
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "hypertree";
@@ -46,11 +42,7 @@ const ENGINE: &str = "hypertree";
 /// planner calls [`pq_hypergraph::decompose`] itself (via the analyzer) and
 /// uses the `*_decomposed` entry points instead.
 pub fn prepare(q: &ConjunctiveQuery) -> Result<HypertreeDecomposition> {
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
+    require_pure(q)?;
     let hg = q.hypergraph();
     let Some(d) = decompose(&hg, DEFAULT_WIDTH_LIMIT) else {
         return Err(EngineError::Unsupported(format!(
@@ -175,53 +167,20 @@ fn materialize_bag(
     Ok(bag_rel)
 }
 
-fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
-    let body_vars: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body_vars.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            ));
-        }
+fn require_pure(q: &ConjunctiveQuery) -> Result<()> {
+    if q.is_pure() {
+        return Ok(());
     }
-    Ok(())
-}
-
-fn vacuous_output(q: &ConjunctiveQuery) -> Result<Relation> {
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    out.insert(Tuple::default())?;
-    Ok(out)
-}
-
-/// Project the reduced root onto the output variables and materialize the
-/// head terms — identical to the Yannakakis output step.
-fn project_head(
-    q: &ConjunctiveQuery,
-    root_rel: &Relation,
-    z: &[String],
-    ctx: &ExecutionContext,
-) -> Result<Relation> {
-    let z_refs: Vec<&str> = z.iter().map(String::as_str).collect();
-    let star = root_rel.project(&z_refs)?;
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    ctx.charge_tuples(ENGINE, star.len() as u64)?;
-    for t in star.iter() {
-        ctx.tick(ENGINE)?;
-        let vals = q.head_terms.iter().map(|term| match term {
-            Term::Const(c) => c.clone(),
-            Term::Var(v) => {
-                let pos = star.attr_pos(v).expect("head var in Z");
-                t[pos].clone()
-            }
-        });
-        out.insert(Tuple::new(vals))?;
-    }
-    Ok(out)
+    Err(EngineError::Unsupported(
+        "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
+    ))
 }
 
 /// Materialize the decomposition's bags for `(q, db)`: the *bag hypergraph*
 /// (one edge per decomposition node, labelled by the bag's variables), the
-/// bag join tree, and the bag relations in node order.
+/// bag join tree, and the bag relations in node order. Atom scans and bag
+/// joins run one pool task each, in a fixed order, so the relations are the
+/// same at any pool degree.
 ///
 /// This is step 1 of the evaluator, exposed so other sweeps — notably the
 /// counting engine in `pq-count` — can run over the same bags without
@@ -234,42 +193,12 @@ pub fn materialize_bags_governed(
     d: &HypertreeDecomposition,
     ctx: &ExecutionContext,
 ) -> Result<(Hypergraph, JoinTree, Vec<Relation>)> {
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
+    require_pure(q)?;
     let plan = plan_bags(q, d)?;
-    let atom_rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
-    let rels: Vec<Relation> = (0..d.num_nodes())
-        .map(|i| materialize_bag(d, &plan, &atom_rels, i, ctx))
-        .collect::<Result<_>>()?;
-    Ok((plan.bags, plan.tree, rels))
-}
-
-/// [`materialize_bags_governed`] with parallel atom scans and bag joins (one
-/// task per bag, in node order); byte-identical output at any thread count.
-pub fn materialize_bags_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<(Hypergraph, JoinTree, Vec<Relation>)> {
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels = parallel_atom_relations(q, db, shared, pool)?;
+    let atom_rels = atom_relations(q, db, ctx)?;
     let nodes: Vec<usize> = (0..d.num_nodes()).collect();
-    let rels: Vec<Relation> = pool.try_run(&nodes, |_, &i| {
-        materialize_bag(d, &plan, &atom_rels, i, &shared.worker())
+    let rels = ctx.pool().try_run(&nodes, |_, &i| {
+        materialize_bag(d, &plan, &atom_rels, i, ctx)
     })?;
     Ok((plan.bags, plan.tree, rels))
 }
@@ -304,50 +233,17 @@ pub fn is_nonempty_decomposed(
     if q.atoms.is_empty() {
         return Ok(true);
     }
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
-    let mut rels: Vec<Relation> = (0..d.num_nodes())
-        .map(|i| materialize_bag(d, &plan, &atom_rels, i, ctx))
-        .collect::<Result<_>>()?;
-    for j in plan.tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        if rels[j].is_empty() {
-            return Ok(false);
-        }
-        if let Some(u) = plan.tree.parent(j) {
-            rels[u] = rels[u].semijoin(&rels[j]);
-            ctx.charge_tuples(ENGINE, rels[u].len() as u64)?;
-        }
-    }
-    Ok(!rels[plan.tree.root()].is_empty())
+    let (_bags, tree, mut rels) = materialize_bags_governed(q, db, d, ctx)?;
+    Ok(upward_pass(&tree, &mut rels, ctx, ENGINE)? && !rels[tree.root()].is_empty())
 }
 
 /// The decision problem: `t ∈ Q(d)`? Binding the head may change the
 /// hypergraph (bound variables become constants), so the bound query is
 /// re-decomposed from scratch.
 pub fn decide(q: &ConjunctiveQuery, db: &Database, t: &Tuple) -> Result<bool> {
-    decide_governed(q, db, t, &ExecutionContext::unlimited())
-}
-
-/// [`decide`] under the resource limits of `ctx`.
-pub fn decide_governed(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    t: &Tuple,
-    ctx: &ExecutionContext,
-) -> Result<bool> {
     match q.bind_head(t)? {
         None => Ok(false),
-        Some(bq) => is_nonempty_governed(&bq, db, ctx),
+        Some(bq) => is_nonempty(&bq, db),
     }
 }
 
@@ -380,7 +276,7 @@ pub fn evaluate_governed(
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    check_safety(q)?;
+    check_head_safety(q)?;
     if q.atoms.is_empty() {
         return vacuous_output(q);
     }
@@ -388,172 +284,20 @@ pub fn evaluate_governed(
     evaluate_decomposed(q, db, &d, ctx)
 }
 
-/// [`evaluate`] with a caller-supplied decomposition.
+/// [`evaluate`] with a caller-supplied decomposition: materialize the bags,
+/// then run the Yannakakis full reducer and output join over the bag tree.
 pub fn evaluate_decomposed(
     q: &ConjunctiveQuery,
     db: &Database,
     d: &HypertreeDecomposition,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    check_safety(q)?;
+    check_head_safety(q)?;
     if q.atoms.is_empty() {
         return vacuous_output(q);
     }
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
-    let mut rels: Vec<Relation> = (0..d.num_nodes())
-        .map(|i| materialize_bag(d, &plan, &atom_rels, i, ctx))
-        .collect::<Result<_>>()?;
-
-    // Upward semijoin pass (full-reducer half 1) over the bag tree.
-    for j in plan.tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        if rels[j].is_empty() {
-            return Ok(Relation::new(head_attrs(&q.head_terms))?);
-        }
-        if let Some(u) = plan.tree.parent(j) {
-            rels[u] = rels[u].semijoin(&rels[j]);
-            ctx.charge_tuples(ENGINE, rels[u].len() as u64)?;
-        }
-    }
-
-    // Downward semijoin pass (full-reducer half 2).
-    for j in plan.tree.top_down() {
-        ctx.tick(ENGINE)?;
-        if let Some(u) = plan.tree.parent(j) {
-            rels[j] = rels[j].semijoin(&rels[u]);
-            ctx.charge_tuples(ENGINE, rels[j].len() as u64)?;
-        }
-    }
-
-    // Bottom-up join + project over the bag hypergraph.
-    let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    for j in plan.tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        let Some(u) = plan.tree.parent(j) else {
-            continue;
-        };
-        let zj = zj_vars(&plan.bags, &plan.tree, j, u, &z);
-        let projected = rels[j].project_onto(&zj);
-        rels[u] = rels[u].natural_join(&projected)?;
-        ctx.charge_tuples(ENGINE, (projected.len() + rels[u].len()) as u64)?;
-        if rels[u].is_empty() {
-            return Ok(Relation::new(head_attrs(&q.head_terms))?);
-        }
-    }
-
-    project_head(q, &rels[plan.tree.root()], &z, ctx)
-}
-
-/// [`is_nonempty`] with parallel bag materialization and level-scheduled
-/// parallel semijoin sweeps; same answer as the serial engine at any thread
-/// count.
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    if q.atoms.is_empty() {
-        return Ok(true);
-    }
-    let d = prepare(q)?;
-    is_nonempty_decomposed_parallel(q, db, &d, shared, pool)
-}
-
-/// [`is_nonempty_parallel`] with a caller-supplied decomposition.
-pub fn is_nonempty_decomposed_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    if q.atoms.is_empty() {
-        return Ok(true);
-    }
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels = parallel_atom_relations(q, db, shared, pool)?;
-    let nodes: Vec<usize> = (0..d.num_nodes()).collect();
-    let mut rels: Vec<Relation> = pool.try_run(&nodes, |_, &i| {
-        materialize_bag(d, &plan, &atom_rels, i, &shared.worker())
-    })?;
-    if !parallel_upward_pass(&plan.tree, &mut rels, shared, pool, ENGINE)? {
-        return Ok(false);
-    }
-    Ok(!rels[plan.tree.root()].is_empty())
-}
-
-/// [`evaluate`] with parallel bag materialization, parallel semijoin sweeps,
-/// and a parallel output-join phase. Byte-identical to the serial engine at
-/// any thread count: bags materialize independently (one task per node, in
-/// node order), and the tree passes reuse the deterministic level schedule
-/// of the Yannakakis engine.
-pub fn evaluate_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    check_safety(q)?;
-    if q.atoms.is_empty() {
-        return vacuous_output(q);
-    }
-    let d = prepare(q)?;
-    evaluate_decomposed_parallel(q, db, &d, shared, pool)
-}
-
-/// [`evaluate_parallel`] with a caller-supplied decomposition.
-pub fn evaluate_decomposed_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    check_safety(q)?;
-    if q.atoms.is_empty() {
-        return vacuous_output(q);
-    }
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels = parallel_atom_relations(q, db, shared, pool)?;
-    let nodes: Vec<usize> = (0..d.num_nodes()).collect();
-    let mut rels: Vec<Relation> = pool.try_run(&nodes, |_, &i| {
-        materialize_bag(d, &plan, &atom_rels, i, &shared.worker())
-    })?;
-
-    if !parallel_upward_pass(&plan.tree, &mut rels, shared, pool, ENGINE)? {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-    if rels[plan.tree.root()].is_empty() {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-    parallel_downward_pass(&plan.tree, &mut rels, shared, pool, ENGINE)?;
-
-    let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    if !parallel_output_join(&plan.bags, &plan.tree, &mut rels, &z, shared, pool, ENGINE)? {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-    project_head(q, &rels[plan.tree.root()], &z, &shared.worker())
+    let (bags, tree, mut rels) = materialize_bags_governed(q, db, d, ctx)?;
+    reduce_join_project(q, &bags, &tree, &mut rels, true, ctx, ENGINE)
 }
 
 #[cfg(test)]
@@ -701,17 +445,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_at_one_and_four_threads() {
+    fn output_is_the_same_at_one_and_four_threads() {
         let q = parse_cq("G(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
         let db = triangle_db();
         let serial = evaluate(&q, &db).unwrap();
         for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let shared = ExecutionContext::unlimited().into_shared();
-            let par = evaluate_parallel(&q, &db, &shared, &pool).unwrap();
-            assert_eq!(serial, par, "threads={threads}");
-            let shared2 = ExecutionContext::unlimited().into_shared();
-            assert!(is_nonempty_parallel(&q, &db, &shared2, &pool).unwrap());
+            let ctx = || ExecutionContext::new().with_pool(pq_exec::Pool::new(threads));
+            assert_eq!(
+                serial,
+                evaluate_governed(&q, &db, &ctx()).unwrap(),
+                "threads={threads}"
+            );
+            assert!(is_nonempty_governed(&q, &db, &ctx()).unwrap());
         }
     }
 

@@ -8,14 +8,15 @@
 //! oracle for testing every smarter engine in this workspace.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use pq_data::{Database, Relation, Tuple, Value};
-use pq_exec::{Pool, Verdict};
-use pq_query::{CmpOp, ConjunctiveQuery, QueryError, Term};
+use pq_exec::Verdict;
+use pq_query::{Atom, CmpOp, ConjunctiveQuery, QueryError, Term};
 
 use crate::binding::{apply_term, bindings_to_output, Binding};
 use crate::error::{EngineError, Result};
-use crate::governor::{CancellationToken, ExecutionContext, SharedContext};
+use crate::governor::{CancellationToken, ExecutionContext};
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "naive";
@@ -27,19 +28,41 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
     evaluate_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`evaluate`] under the resource limits of `ctx`.
+/// [`evaluate`] under the resource limits of `ctx`, fanned out on its pool.
+///
+/// The search picks a first atom and explores one independent subtree per
+/// tuple of it; the tuples are split into contiguous chunks, one pool task
+/// each, and the per-chunk bindings are concatenated in chunk order. That
+/// is the serial scan order, so the output is identical at any pool degree.
 pub fn evaluate_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
     check_safety(q)?;
+    let s = Search::new(q, db, ctx, None)?;
     let mut bindings = Vec::new();
-    search(q, db, ctx, &mut |b| {
-        bindings.push(b.clone());
-        true // keep searching
+    let Some((first, rows, chunks)) = s.first_atom_chunks() else {
+        s.recurse(
+            &mut [],
+            &mut Binding::new(),
+            &mut |b| {
+                bindings.push(b.clone());
+                true
+            },
+            0,
+        )?;
+        return bindings_to_output(q, bindings);
+    };
+    let parts: Vec<Vec<Binding>> = ctx.pool().try_run(&chunks, |_, range| {
+        let mut local = Vec::new();
+        s.chunk(first, &rows[range.clone()], &mut |b| {
+            local.push(b.clone());
+            true // keep searching
+        })?;
+        Ok::<_, EngineError>(local)
     })?;
-    bindings_to_output(q, bindings)
+    bindings_to_output(q, parts.into_iter().flatten())
 }
 
 /// Is `Q(d)` nonempty? Stops at the first satisfying instantiation.
@@ -47,44 +70,61 @@ pub fn is_nonempty(q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
     is_nonempty_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`is_nonempty`] under the resource limits of `ctx`.
+/// [`is_nonempty`] under the resource limits of `ctx`: the chunks of
+/// [`evaluate_governed`] race on the pool, and the first witness stops the
+/// others through a race-scoped [`CancellationToken`] the search checks at
+/// every tuple.
 pub fn is_nonempty_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<bool> {
     // Emptiness does not require head safety (the head plays no role).
-    let mut found = false;
-    search(q, db, ctx, &mut |_| {
-        found = true;
-        false // stop
+    let race = CancellationToken::new();
+    let s = Search::new(q, db, ctx, Some(&race))?;
+    let Some((first, rows, chunks)) = s.first_atom_chunks() else {
+        let mut found = false;
+        s.recurse(
+            &mut [],
+            &mut Binding::new(),
+            &mut |_| {
+                found = true;
+                false
+            },
+            0,
+        )?;
+        return Ok(found);
+    };
+    let hit = ctx.pool().find_first(&chunks, |_, range| {
+        let mut found = false;
+        match s.chunk(first, &rows[range.clone()], &mut |_| {
+            found = true;
+            false // stop
+        }) {
+            Ok(()) if found => {
+                race.cancel();
+                Verdict::Hit(())
+            }
+            Ok(()) => Verdict::Miss,
+            Err(e) => Verdict::Abort(e),
+        }
     })?;
-    Ok(found)
+    Ok(hit.is_some())
 }
 
 /// The decision problem of Section 3: is `t ∈ Q(d)`? Implemented exactly as
 /// the paper prescribes — substitute the constants of `t` into the query and
 /// test the resulting Boolean query.
 pub fn decide(q: &ConjunctiveQuery, db: &Database, t: &Tuple) -> Result<bool> {
-    decide_governed(q, db, t, &ExecutionContext::unlimited())
-}
-
-/// [`decide`] under the resource limits of `ctx`.
-pub fn decide_governed(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    t: &Tuple,
-    ctx: &ExecutionContext,
-) -> Result<bool> {
     match q.bind_head(t)? {
         None => Ok(false),
-        Some(bq) => is_nonempty_governed(&bq, db, ctx),
+        Some(bq) => is_nonempty(&bq, db),
     }
 }
 
 /// Head and constraint variables must occur in relational atoms so that all
 /// of them get bound by the search.
-fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
+pub(crate) fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
     let body: BTreeSet<&str> = q.atom_variables().into_iter().collect();
     for v in q.head_variables() {
         if !body.contains(v) {
@@ -112,7 +152,7 @@ fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
 /// unbound variables are deferred (they will be re-checked when complete).
 /// Constant-constant constraints (which arise from head substitution) are
 /// decided immediately.
-fn constraints_hold(q: &ConjunctiveQuery, b: &Binding) -> bool {
+pub(crate) fn constraints_hold(q: &ConjunctiveQuery, b: &Binding) -> bool {
     for n in &q.neqs {
         if let (Some(l), Some(r)) = (apply_term(&n.left, b), apply_term(&n.right, b)) {
             if l == r {
@@ -130,259 +170,196 @@ fn constraints_hold(q: &ConjunctiveQuery, b: &Binding) -> bool {
     true
 }
 
-/// Backtracking search over atom instantiations. `visit` is called on every
-/// satisfying binding; returning `false` stops the search.
-fn search(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-) -> Result<()> {
-    // Resolve relations up front so missing tables error out deterministically.
-    let rels: Vec<&Relation> = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation))
-        .collect::<pq_data::Result<_>>()?;
-    let mut binding = Binding::new();
-    let mut used = vec![false; q.atoms.len()];
-    recurse(q, &rels, &mut used, &mut binding, ctx, visit)?;
-    Ok(())
+/// One backtracking search over atom instantiations. Visitors are called on
+/// every satisfying binding; returning `false` stops the search.
+struct Search<'a> {
+    q: &'a ConjunctiveQuery,
+    /// The body relations, resolved up front so missing tables error out
+    /// deterministically.
+    rels: Vec<&'a Relation>,
+    ctx: &'a ExecutionContext,
+    /// An emptiness race: once another chunk has found a witness, this
+    /// search stops without error.
+    race: Option<&'a CancellationToken>,
 }
 
-/// The greedy join-order rule: the unused atom with the most bound terms,
-/// ties broken by smaller relation. Factored out so the parallel fan-out
-/// ([`evaluate_parallel`]) provably forces the *same* first atom the serial
-/// search would pick.
-fn pick_next(
-    q: &ConjunctiveQuery,
-    rels: &[&Relation],
-    used: &[bool],
-    binding: &Binding,
-) -> Option<usize> {
-    (0..q.atoms.len()).filter(|&i| !used[i]).max_by_key(|&i| {
-        let bound = q.atoms[i]
-            .terms
+impl<'a> Search<'a> {
+    fn new(
+        q: &'a ConjunctiveQuery,
+        db: &'a Database,
+        ctx: &'a ExecutionContext,
+        race: Option<&'a CancellationToken>,
+    ) -> Result<Self> {
+        let rels = q
+            .atoms
             .iter()
-            .filter(|t| match t {
-                Term::Var(v) => binding.contains_key(v),
-                Term::Const(_) => true,
+            .map(|a| db.relation(&a.relation))
+            .collect::<pq_data::Result<_>>()?;
+        Ok(Search { q, rels, ctx, race })
+    }
+
+    /// The greedy join-order rule: the unused atom with the most bound
+    /// terms, ties broken by smaller relation.
+    fn pick_next(&self, used: &[bool], binding: &Binding) -> Option<usize> {
+        (0..self.q.atoms.len())
+            .filter(|&i| !used[i])
+            .max_by_key(|&i| {
+                let bound = self.q.atoms[i]
+                    .terms
+                    .iter()
+                    .filter(|t| match t {
+                        Term::Var(v) => binding.contains_key(v),
+                        Term::Const(_) => true,
+                    })
+                    .count();
+                (bound, usize::MAX - self.rels[i].len())
             })
-            .count();
-        (bound, usize::MAX - rels[i].len())
-    })
-}
+    }
 
-/// One step of the search: unify atom `i` against tuple `t` under `binding`,
-/// and on success (constraints permitting) recurse into the remaining atoms.
-/// Returns the visitor's keep-going flag. The binding is restored before
-/// returning.
-#[allow(clippy::too_many_arguments)]
-fn try_tuple(
-    q: &ConjunctiveQuery,
-    rels: &[&Relation],
-    used: &mut [bool],
-    binding: &mut Binding,
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-    i: usize,
-    t: &Tuple,
-) -> Result<bool> {
-    let atom = &q.atoms[i];
-    let mut newly_bound: Vec<&str> = Vec::new();
-    for (pos, term) in atom.terms.iter().enumerate() {
-        let val = &t[pos];
-        match term {
-            Term::Const(c) => {
-                if c != val {
-                    undo(binding, &newly_bound);
-                    return Ok(true);
-                }
+    /// The first atom the search picks, its tuples, and their split into
+    /// contiguous chunks (four per pool worker, to absorb skew); `None`
+    /// when the body has no atoms.
+    #[allow(clippy::type_complexity)]
+    fn first_atom_chunks(&self) -> Option<(usize, Vec<&'a Tuple>, Vec<Range<usize>>)> {
+        let first = self.pick_next(&vec![false; self.q.atoms.len()], &Binding::new())?;
+        self.ctx.note_atom();
+        let rel: &'a Relation = self.rels[first];
+        let rows: Vec<&'a Tuple> = rel.iter().collect();
+        let chunks = pq_exec::morsels(rows.len(), self.ctx.pool().threads() * 4);
+        Some((first, rows, chunks))
+    }
+
+    /// One pool task: the search below `rows`, a chunk of the first atom's
+    /// tuples, reporting bindings to `visit` in scan order.
+    fn chunk(
+        &self,
+        first: usize,
+        rows: &[&'a Tuple],
+        visit: &mut impl FnMut(&Binding) -> bool,
+    ) -> Result<()> {
+        let depth = self.ctx.descend(0, ENGINE)?;
+        let mut used = vec![false; self.q.atoms.len()];
+        self.scan(
+            first,
+            rows.iter().copied(),
+            &mut used,
+            &mut Binding::new(),
+            visit,
+            depth,
+        )?;
+        Ok(())
+    }
+
+    /// Pick the next atom and scan it; at a complete binding, visit it.
+    fn recurse(
+        &self,
+        used: &mut [bool],
+        binding: &mut Binding,
+        visit: &mut impl FnMut(&Binding) -> bool,
+        depth: usize,
+    ) -> Result<bool> {
+        let depth = self.ctx.descend(depth, ENGINE)?;
+        let Some(i) = self.pick_next(used, binding) else {
+            // All atoms matched; constraints are fully bound by safety.
+            self.ctx.charge_tuples(ENGINE, 1)?;
+            return Ok(visit(binding));
+        };
+        self.ctx.note_atom();
+        let rel: &'a Relation = self.rels[i];
+        self.scan(i, rel.iter(), used, binding, visit, depth)
+    }
+
+    /// Try every tuple of `rows` for atom `i`. Returns the visitor's
+    /// keep-going flag (also `false` once the race is decided).
+    fn scan(
+        &self,
+        i: usize,
+        rows: impl IntoIterator<Item = &'a Tuple>,
+        used: &mut [bool],
+        binding: &mut Binding,
+        visit: &mut impl FnMut(&Binding) -> bool,
+        depth: usize,
+    ) -> Result<bool> {
+        used[i] = true;
+        let mut keep_going = true;
+        for t in rows {
+            self.ctx.tick(ENGINE)?;
+            if self.race.is_some_and(CancellationToken::is_cancelled)
+                || !self.try_tuple(used, binding, visit, i, t, depth)?
+            {
+                keep_going = false;
+                break;
             }
-            Term::Var(v) => {
-                if let Some(existing) = binding.get(v.as_str()) {
-                    if existing != val {
-                        undo(binding, &newly_bound);
-                        return Ok(true);
-                    }
-                } else {
-                    binding.insert(v.clone(), val.clone());
-                    newly_bound.push(v);
-                }
-            }
         }
+        used[i] = false;
+        Ok(keep_going)
     }
-    let keep_going = if constraints_hold(q, binding) {
-        recurse(q, rels, used, binding, ctx, visit)?
-    } else {
-        true
-    };
-    undo(binding, &newly_bound);
-    Ok(keep_going)
+
+    /// One step of the search: unify atom `i` against tuple `t` under
+    /// `binding`, and on success (constraints permitting) recurse into the
+    /// remaining atoms. Returns the visitor's keep-going flag. The binding
+    /// is restored before returning.
+    fn try_tuple(
+        &self,
+        used: &mut [bool],
+        binding: &mut Binding,
+        visit: &mut impl FnMut(&Binding) -> bool,
+        i: usize,
+        t: &Tuple,
+        depth: usize,
+    ) -> Result<bool> {
+        let Some(newly_bound) = unify(&self.q.atoms[i], t, binding) else {
+            return Ok(true);
+        };
+        let keep_going = if constraints_hold(self.q, binding) {
+            self.recurse(used, binding, visit, depth)?
+        } else {
+            true
+        };
+        undo(binding, &newly_bound);
+        Ok(keep_going)
+    }
 }
 
-fn recurse(
-    q: &ConjunctiveQuery,
-    rels: &[&Relation],
-    used: &mut [bool],
-    binding: &mut Binding,
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-) -> Result<bool> {
-    let _depth = ctx.recurse(ENGINE)?;
-    let Some(i) = pick_next(q, rels, used, binding) else {
-        // All atoms matched; constraints are fully bound by safety.
-        ctx.charge_tuples(ENGINE, 1)?;
-        return Ok(visit(binding));
-    };
-
-    used[i] = true;
-    ctx.note_atom();
-    for t in rels[i].iter() {
-        ctx.tick(ENGINE)?;
-        if !try_tuple(q, rels, used, binding, ctx, visit, i, t)? {
-            used[i] = false;
-            return Ok(false);
-        }
-    }
-    used[i] = false;
-    Ok(true)
-}
-
-/// Run the search over one contiguous chunk of the first atom's tuples.
-/// Mirrors [`recurse`] with the first atom forced to `i` and its scan
-/// restricted to `rows`; bindings are reported to `visit` in scan order.
-fn search_chunk(
-    q: &ConjunctiveQuery,
-    rels: &[&Relation],
-    first: usize,
-    rows: &[&Tuple],
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-) -> Result<()> {
-    let _depth = ctx.recurse(ENGINE)?;
-    let mut used = vec![false; q.atoms.len()];
-    let mut binding = Binding::new();
-    used[first] = true;
-    ctx.note_atom();
-    for t in rows {
-        ctx.tick(ENGINE)?;
-        if !try_tuple(q, rels, &mut used, &mut binding, ctx, visit, first, t)? {
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
-/// Resolve the body relations (shared by serial and parallel drivers).
-fn resolve<'d>(q: &ConjunctiveQuery, db: &'d Database) -> Result<Vec<&'d Relation>> {
-    Ok(q.atoms
+/// Extend `binding` so that `atom` maps onto `t`, returning the variables
+/// it bound (for [`undo`]), or `None` — with `binding` unchanged — when they
+/// clash.
+pub(crate) fn unify<'q>(atom: &'q Atom, t: &Tuple, binding: &mut Binding) -> Option<Vec<&'q str>> {
+    // Reject on a constant or an already-bound variable before binding
+    // anything: most probed tuples fail, and then fail without a binding
+    // insert and undo.
+    let clash = atom
+        .terms
         .iter()
-        .map(|a| db.relation(&a.relation))
-        .collect::<pq_data::Result<_>>()?)
-}
-
-/// Did this error come from a tripped cancellation token?
-pub(crate) fn is_cancellation(e: &EngineError) -> bool {
-    matches!(
-        e,
-        EngineError::ResourceExhausted {
-            kind: crate::governor::ResourceKind::Cancelled,
-            ..
-        }
-    )
-}
-
-/// [`evaluate`] with first-atom partition fan-out on `pool`, charging the
-/// shared envelope `shared`.
-///
-/// The serial search picks a first atom and scans its tuples in relation
-/// order, exploring one subtree per tuple; those subtrees are independent,
-/// so this driver splits the scan into contiguous chunks, searches each
-/// chunk on a pool worker, and concatenates the per-chunk bindings in chunk
-/// order — reproducing the serial binding order (and therefore **identical
-/// output**) at any thread count.
-pub fn evaluate_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    check_safety(q)?;
-    let rels = resolve(q, db)?;
-    let first = pick_next(q, &rels, &vec![false; q.atoms.len()], &Binding::new());
-    let (Some(first), true) = (first, pool.threads() > 1) else {
-        // No atoms or a degree-1 pool: the serial search on a worker of the
-        // shared envelope is the same computation.
-        let ctx = shared.worker();
-        let mut bindings = Vec::new();
-        search(q, db, &ctx, &mut |b| {
-            bindings.push(b.clone());
-            true
-        })?;
-        return bindings_to_output(q, bindings);
-    };
-    let rows: Vec<&Tuple> = rels[first].iter().collect();
-    let chunks = pq_exec::morsels(rows.len(), pool.threads() * 4);
-    let parts: Vec<Vec<Binding>> = pool.try_run(&chunks, |_, range| {
-        let ctx = shared.worker();
-        let mut local = Vec::new();
-        search_chunk(q, &rels, first, &rows[range.clone()], &ctx, &mut |b| {
-            local.push(b.clone());
-            true
-        })?;
-        Ok::<_, EngineError>(local)
-    })?;
-    bindings_to_output(q, parts.concat())
-}
-
-/// [`is_nonempty`] with first-atom partition fan-out: chunks race, the first
-/// witness wins and cancels the remaining chunks via a race-scoped
-/// [`CancellationToken`].
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    let rels = resolve(q, db)?;
-    let first = pick_next(q, &rels, &vec![false; q.atoms.len()], &Binding::new());
-    let (Some(first), true) = (first, pool.threads() > 1) else {
-        let ctx = shared.worker();
-        let mut found = false;
-        search(q, db, &ctx, &mut |_| {
-            found = true;
-            false
-        })?;
-        return Ok(found);
-    };
-    let rows: Vec<&Tuple> = rels[first].iter().collect();
-    let chunks = pq_exec::morsels(rows.len(), pool.threads() * 4);
-    let race = CancellationToken::new();
-    let hit = pool.find_first(&chunks, |_, range| {
-        let ctx = shared.worker().with_cancellation(race.clone());
-        let mut found = false;
-        let r = search_chunk(q, &rels, first, &rows[range.clone()], &ctx, &mut |_| {
-            found = true;
-            false
+        .zip(t.iter())
+        .any(|(term, val)| match term {
+            Term::Const(c) => c != val,
+            Term::Var(v) => binding.get(v.as_str()).is_some_and(|b| b != val),
         });
-        match r {
-            Ok(()) if found => {
-                race.cancel();
-                Verdict::Hit(())
+    if clash {
+        return None;
+    }
+    // Only a variable repeated within the atom can still clash.
+    let mut newly_bound: Vec<&str> = Vec::new();
+    for (term, val) in atom.terms.iter().zip(t.iter()) {
+        let Term::Var(v) = term else { continue };
+        match binding.get(v.as_str()) {
+            Some(existing) if existing != val => {
+                undo(binding, &newly_bound);
+                return None;
             }
-            Ok(()) => Verdict::Miss,
-            // A chunk cancelled because the race was already won is not a
-            // failure; a cancellation from the *shared* envelope without a
-            // winner still surfaces as an abort below.
-            Err(e) if race.is_cancelled() && is_cancellation(&e) => Verdict::Retire,
-            Err(e) => Verdict::Abort(e),
+            Some(_) => {}
+            None => {
+                binding.insert(v.clone(), val.clone());
+                newly_bound.push(v);
+            }
         }
-    })?;
-    Ok(hit.is_some())
+    }
+    Some(newly_bound)
 }
 
-fn undo(binding: &mut Binding, vars: &[&str]) {
+/// Unbind `vars` again (backtracking).
+pub(crate) fn undo(binding: &mut Binding, vars: &[&str]) {
     for v in vars {
         binding.remove(*v);
     }

@@ -8,15 +8,17 @@
 //! dramatically; the fitted exponent stays put (bench
 //! `thm1/cq_clique_naive` vs `thm1/cq_clique_indexed`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::ops::Range;
 
 use pq_data::{Database, Relation, Value};
-use pq_exec::{Pool, Verdict};
-use pq_query::{ConjunctiveQuery, QueryError, Term};
+use pq_exec::Verdict;
+use pq_query::{ConjunctiveQuery, Term};
 
-use crate::binding::{apply_term, bindings_to_output, Binding};
+use crate::binding::{bindings_to_output, Binding};
 use crate::error::{EngineError, Result};
-use crate::governor::{CancellationToken, ExecutionContext, SharedContext};
+use crate::governor::{CancellationToken, ExecutionContext};
+use crate::naive::{check_safety, constraints_hold, undo, unify};
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "naive-indexed";
@@ -49,19 +51,44 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
     evaluate_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`evaluate`] under the resource limits of `ctx`.
+/// [`evaluate`] under the resource limits of `ctx`, fanned out on its pool
+/// by first-atom chunks exactly like [`crate::naive::evaluate_governed`]:
+/// identical output at any pool degree.
 pub fn evaluate_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
     check_safety(q)?;
+    let rels = resolve(q, db)?;
+    let s = Search {
+        q,
+        rels: &rels,
+        ctx,
+        race: None,
+    };
     let mut bindings = Vec::new();
-    search(q, db, ctx, &mut |b| {
-        bindings.push(b.clone());
-        true
+    let Some((first, rows, chunks)) = s.first_atom_chunks() else {
+        s.recurse(
+            &mut [],
+            &mut Binding::new(),
+            &mut |b| {
+                bindings.push(b.clone());
+                true
+            },
+            0,
+        )?;
+        return bindings_to_output(q, bindings);
+    };
+    let parts: Vec<Vec<Binding>> = ctx.pool().try_run(&chunks, |_, range| {
+        let mut local = Vec::new();
+        s.chunk(first, &rows[range.clone()], &mut |b| {
+            local.push(b.clone());
+            true
+        })?;
+        Ok::<_, EngineError>(local)
     })?;
-    bindings_to_output(q, bindings)
+    bindings_to_output(q, parts.into_iter().flatten())
 }
 
 /// Emptiness with indexes.
@@ -69,78 +96,57 @@ pub fn is_nonempty(q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
     is_nonempty_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`is_nonempty`] under the resource limits of `ctx`.
+/// [`is_nonempty`] under the resource limits of `ctx`: racing chunks, the
+/// first witness stops the rest.
 pub fn is_nonempty_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<bool> {
-    let mut found = false;
-    search(q, db, ctx, &mut |_| {
-        found = true;
-        false
+    let rels = resolve(q, db)?;
+    let race = CancellationToken::new();
+    let s = Search {
+        q,
+        rels: &rels,
+        ctx,
+        race: Some(&race),
+    };
+    let Some((first, rows, chunks)) = s.first_atom_chunks() else {
+        let mut found = false;
+        s.recurse(
+            &mut [],
+            &mut Binding::new(),
+            &mut |_| {
+                found = true;
+                false
+            },
+            0,
+        )?;
+        return Ok(found);
+    };
+    let hit = ctx.pool().find_first(&chunks, |_, range| {
+        let mut found = false;
+        match s.chunk(first, &rows[range.clone()], &mut |_| {
+            found = true;
+            false
+        }) {
+            Ok(()) if found => {
+                race.cancel();
+                Verdict::Hit(())
+            }
+            Ok(()) => Verdict::Miss,
+            Err(e) => Verdict::Abort(e),
+        }
     })?;
-    Ok(found)
+    Ok(hit.is_some())
 }
 
-fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
-    let body: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body.contains(v) {
-            return Err(EngineError::Query(QueryError::UnsafeHeadVariable(
-                v.to_string(),
-            )));
-        }
-    }
-    for v in q
-        .neqs
+/// The body relations of `q`, each with its column indexes.
+fn resolve<'a>(q: &ConjunctiveQuery, db: &'a Database) -> Result<Vec<Indexed<'a>>> {
+    q.atoms
         .iter()
-        .flat_map(|n| n.variables())
-        .chain(q.comparisons.iter().flat_map(|c| c.variables()))
-    {
-        if !body.contains(v) {
-            return Err(EngineError::Query(QueryError::UnsafeConstraintVariable(
-                v.to_string(),
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn constraints_hold(q: &ConjunctiveQuery, b: &Binding) -> bool {
-    for n in &q.neqs {
-        if let (Some(l), Some(r)) = (apply_term(&n.left, b), apply_term(&n.right, b)) {
-            if l == r {
-                return false;
-            }
-        }
-    }
-    for c in &q.comparisons {
-        if let (Some(l), Some(r)) = (apply_term(&c.left, b), apply_term(&c.right, b)) {
-            if !c.op.eval(&l, &r) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn search(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-) -> Result<()> {
-    let rels: Vec<&Relation> = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation))
-        .collect::<pq_data::Result<_>>()?;
-    let indexed: Vec<Indexed> = rels.iter().map(|r| Indexed::build(r)).collect();
-    let mut used = vec![false; q.atoms.len()];
-    let mut binding = Binding::new();
-    recurse(q, &indexed, &mut used, &mut binding, ctx, visit)?;
-    Ok(())
+        .map(|a| Ok(Indexed::build(db.relation(&a.relation)?)))
+        .collect()
 }
 
 /// A term is "bound" when it is a constant or a bound variable.
@@ -151,229 +157,133 @@ fn bound_value<'b>(t: &'b Term, binding: &'b Binding) -> Option<&'b Value> {
     }
 }
 
-/// The greedy join-order rule (most bound terms, ties by smaller relation),
-/// shared by the serial recursion and the parallel fan-out.
-fn pick_next(
-    q: &ConjunctiveQuery,
-    rels: &[Indexed],
-    used: &[bool],
-    binding: &Binding,
-) -> Option<usize> {
-    (0..q.atoms.len()).filter(|&i| !used[i]).max_by_key(|&i| {
-        let bound = q.atoms[i]
+/// The indexed backtracking search; see `naive::Search`, whose structure
+/// (and chunked fan-out) this mirrors with index probes for scans.
+struct Search<'a> {
+    q: &'a ConjunctiveQuery,
+    rels: &'a [Indexed<'a>],
+    ctx: &'a ExecutionContext,
+    race: Option<&'a CancellationToken>,
+}
+
+impl<'a> Search<'a> {
+    /// The greedy join-order rule (most bound terms, ties by smaller
+    /// relation).
+    fn pick_next(&self, used: &[bool], binding: &Binding) -> Option<usize> {
+        (0..self.q.atoms.len())
+            .filter(|&i| !used[i])
+            .max_by_key(|&i| {
+                let bound = self.q.atoms[i]
+                    .terms
+                    .iter()
+                    .filter(|t| bound_value(t, binding).is_some())
+                    .count();
+                (bound, usize::MAX - self.rels[i].rel.len())
+            })
+    }
+
+    /// Candidate rows for atom `i` under `binding`: probe the index on the
+    /// first bound position, falling back to a full scan when nothing is
+    /// bound.
+    fn candidate_rows(&self, i: usize, binding: &Binding) -> Vec<usize> {
+        let probe = self.q.atoms[i]
             .terms
             .iter()
-            .filter(|t| bound_value(t, binding).is_some())
-            .count();
-        (bound, usize::MAX - rels[i].rel.len())
-    })
-}
-
-/// Candidate rows for atom `i` under `binding`: probe the index on the
-/// first bound position, falling back to a full scan when nothing is bound.
-fn candidate_rows(
-    q: &ConjunctiveQuery,
-    rels: &[Indexed],
-    i: usize,
-    binding: &Binding,
-) -> Vec<usize> {
-    let probe = q.atoms[i]
-        .terms
-        .iter()
-        .enumerate()
-        .find_map(|(c, t)| bound_value(t, binding).map(|v| (c, v.clone())));
-    match &probe {
-        Some((c, v)) => rels[i].probe(*c, v).to_vec(),
-        None => (0..rels[i].rel.len()).collect(),
+            .enumerate()
+            .find_map(|(c, t)| bound_value(t, binding).map(|v| (c, v.clone())));
+        match &probe {
+            Some((c, v)) => self.rels[i].probe(*c, v).to_vec(),
+            None => (0..self.rels[i].rel.len()).collect(),
+        }
     }
-}
 
-/// Unify atom `i` against row `ri` and recurse; see `naive::try_tuple`.
-#[allow(clippy::too_many_arguments)]
-fn try_row(
-    q: &ConjunctiveQuery,
-    rels: &[Indexed],
-    used: &mut [bool],
-    binding: &mut Binding,
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-    i: usize,
-    ri: usize,
-) -> Result<bool> {
-    let atom = &q.atoms[i];
-    let t = &rels[i].rel.tuples()[ri];
-    let mut newly_bound: Vec<&str> = Vec::new();
-    for (pos, term) in atom.terms.iter().enumerate() {
-        let val = &t[pos];
-        match term {
-            Term::Const(c) => {
-                if c != val {
-                    undo(binding, &newly_bound);
-                    return Ok(true);
-                }
+    /// The first atom, its candidate rows, and their chunks (four per pool
+    /// worker); `None` when the body has no atoms.
+    #[allow(clippy::type_complexity)]
+    fn first_atom_chunks(&self) -> Option<(usize, Vec<usize>, Vec<Range<usize>>)> {
+        let first = self.pick_next(&vec![false; self.q.atoms.len()], &Binding::new())?;
+        self.ctx.note_atom();
+        let rows = self.candidate_rows(first, &Binding::new());
+        let chunks = pq_exec::morsels(rows.len(), self.ctx.pool().threads() * 4);
+        Some((first, rows, chunks))
+    }
+
+    /// One pool task: the search below a chunk of the first atom's rows.
+    fn chunk(
+        &self,
+        first: usize,
+        rows: &[usize],
+        visit: &mut impl FnMut(&Binding) -> bool,
+    ) -> Result<()> {
+        let depth = self.ctx.descend(0, ENGINE)?;
+        let mut used = vec![false; self.q.atoms.len()];
+        self.scan(first, rows, &mut used, &mut Binding::new(), visit, depth)?;
+        Ok(())
+    }
+
+    fn recurse(
+        &self,
+        used: &mut [bool],
+        binding: &mut Binding,
+        visit: &mut impl FnMut(&Binding) -> bool,
+        depth: usize,
+    ) -> Result<bool> {
+        let depth = self.ctx.descend(depth, ENGINE)?;
+        let Some(i) = self.pick_next(used, binding) else {
+            self.ctx.charge_tuples(ENGINE, 1)?;
+            return Ok(visit(binding));
+        };
+        self.ctx.note_atom();
+        let rows = self.candidate_rows(i, binding);
+        self.scan(i, &rows, used, binding, visit, depth)
+    }
+
+    /// Try every row of `rows` for atom `i`; returns the keep-going flag.
+    fn scan(
+        &self,
+        i: usize,
+        rows: &[usize],
+        used: &mut [bool],
+        binding: &mut Binding,
+        visit: &mut impl FnMut(&Binding) -> bool,
+        depth: usize,
+    ) -> Result<bool> {
+        used[i] = true;
+        let mut keep_going = true;
+        for &ri in rows {
+            self.ctx.tick(ENGINE)?;
+            if self.race.is_some_and(CancellationToken::is_cancelled)
+                || !self.try_row(used, binding, visit, i, ri, depth)?
+            {
+                keep_going = false;
+                break;
             }
-            Term::Var(v) => {
-                if let Some(existing) = binding.get(v.as_str()) {
-                    if existing != val {
-                        undo(binding, &newly_bound);
-                        return Ok(true);
-                    }
-                } else {
-                    binding.insert(v.clone(), val.clone());
-                    newly_bound.push(v);
-                }
-            }
         }
+        used[i] = false;
+        Ok(keep_going)
     }
-    let keep_going = if constraints_hold(q, binding) {
-        recurse(q, rels, used, binding, ctx, visit)?
-    } else {
-        true
-    };
-    undo(binding, &newly_bound);
-    Ok(keep_going)
-}
 
-fn recurse(
-    q: &ConjunctiveQuery,
-    rels: &[Indexed],
-    used: &mut [bool],
-    binding: &mut Binding,
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-) -> Result<bool> {
-    let _depth = ctx.recurse(ENGINE)?;
-    let Some(i) = pick_next(q, rels, used, binding) else {
-        ctx.charge_tuples(ENGINE, 1)?;
-        return Ok(visit(binding));
-    };
-
-    used[i] = true;
-    ctx.note_atom();
-    for ri in candidate_rows(q, rels, i, binding) {
-        ctx.tick(ENGINE)?;
-        if !try_row(q, rels, used, binding, ctx, visit, i, ri)? {
-            used[i] = false;
-            return Ok(false);
-        }
-    }
-    used[i] = false;
-    Ok(true)
-}
-
-/// Search one contiguous chunk of the first atom's candidate rows (parallel
-/// fan-out worker body; see `naive::search_chunk`).
-fn search_chunk(
-    q: &ConjunctiveQuery,
-    rels: &[Indexed],
-    first: usize,
-    rows: &[usize],
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-) -> Result<()> {
-    let _depth = ctx.recurse(ENGINE)?;
-    let mut used = vec![false; q.atoms.len()];
-    let mut binding = Binding::new();
-    used[first] = true;
-    ctx.note_atom();
-    for &ri in rows {
-        ctx.tick(ENGINE)?;
-        if !try_row(q, rels, &mut used, &mut binding, ctx, visit, first, ri)? {
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
-/// [`evaluate`] with first-atom partition fan-out; identical output to the
-/// serial engine at any thread count (chunk outputs concatenate in scan
-/// order). Charges the shared envelope.
-pub fn evaluate_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    check_safety(q)?;
-    let base: Vec<&Relation> = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation))
-        .collect::<pq_data::Result<_>>()?;
-    let indexed: Vec<Indexed> = base.iter().map(|r| Indexed::build(r)).collect();
-    let first = pick_next(q, &indexed, &vec![false; q.atoms.len()], &Binding::new());
-    let (Some(first), true) = (first, pool.threads() > 1) else {
-        let ctx = shared.worker();
-        let mut bindings = Vec::new();
-        search(q, db, &ctx, &mut |b| {
-            bindings.push(b.clone());
+    /// Unify atom `i` against row `ri` and recurse; see `naive::Search`.
+    fn try_row(
+        &self,
+        used: &mut [bool],
+        binding: &mut Binding,
+        visit: &mut impl FnMut(&Binding) -> bool,
+        i: usize,
+        ri: usize,
+        depth: usize,
+    ) -> Result<bool> {
+        let t = &self.rels[i].rel.tuples()[ri];
+        let Some(newly_bound) = unify(&self.q.atoms[i], t, binding) else {
+            return Ok(true);
+        };
+        let keep_going = if constraints_hold(self.q, binding) {
+            self.recurse(used, binding, visit, depth)?
+        } else {
             true
-        })?;
-        return bindings_to_output(q, bindings);
-    };
-    let rows = candidate_rows(q, &indexed, first, &Binding::new());
-    let chunks = pq_exec::morsels(rows.len(), pool.threads() * 4);
-    let parts: Vec<Vec<Binding>> = pool.try_run(&chunks, |_, range| {
-        let ctx = shared.worker();
-        let mut local = Vec::new();
-        search_chunk(q, &indexed, first, &rows[range.clone()], &ctx, &mut |b| {
-            local.push(b.clone());
-            true
-        })?;
-        Ok::<_, EngineError>(local)
-    })?;
-    bindings_to_output(q, parts.concat())
-}
-
-/// [`is_nonempty`] with racing chunks; the first witness cancels the rest.
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    let base: Vec<&Relation> = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation))
-        .collect::<pq_data::Result<_>>()?;
-    let indexed: Vec<Indexed> = base.iter().map(|r| Indexed::build(r)).collect();
-    let first = pick_next(q, &indexed, &vec![false; q.atoms.len()], &Binding::new());
-    let (Some(first), true) = (first, pool.threads() > 1) else {
-        let ctx = shared.worker();
-        let mut found = false;
-        search(q, db, &ctx, &mut |_| {
-            found = true;
-            false
-        })?;
-        return Ok(found);
-    };
-    let rows = candidate_rows(q, &indexed, first, &Binding::new());
-    let chunks = pq_exec::morsels(rows.len(), pool.threads() * 4);
-    let race = CancellationToken::new();
-    let hit = pool.find_first(&chunks, |_, range| {
-        let ctx = shared.worker().with_cancellation(race.clone());
-        let mut found = false;
-        let r = search_chunk(q, &indexed, first, &rows[range.clone()], &ctx, &mut |_| {
-            found = true;
-            false
-        });
-        match r {
-            Ok(()) if found => {
-                race.cancel();
-                Verdict::Hit(())
-            }
-            Ok(()) => Verdict::Miss,
-            Err(e) if race.is_cancelled() && crate::naive::is_cancellation(&e) => Verdict::Retire,
-            Err(e) => Verdict::Abort(e),
-        }
-    })?;
-    Ok(hit.is_some())
-}
-
-fn undo(binding: &mut Binding, vars: &[&str]) {
-    for v in vars {
-        binding.remove(*v);
+        };
+        undo(binding, &newly_bound);
+        Ok(keep_going)
     }
 }
 

@@ -10,18 +10,17 @@
 use std::collections::BTreeSet;
 
 use pq_data::{Database, Relation, Tuple};
-use pq_exec::Pool;
 use pq_hypergraph::{join_tree, Hypergraph, JoinTree};
 use pq_query::{Atom, ConjunctiveQuery, Term};
 
-use crate::binding::head_attrs;
+use crate::binding::{check_head_safety, head_attrs};
 use crate::error::{EngineError, Result};
-use crate::governor::{ExecutionContext, SharedContext};
+use crate::governor::ExecutionContext;
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "yannakakis";
 
-/// Options for [`evaluate_with_options`]; the default runs the full
+/// Options for [`evaluate_with_options_governed`]; the default runs the full
 /// Yannakakis pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions {
@@ -101,6 +100,17 @@ pub fn atom_relation_governed(
     Ok(out)
 }
 
+/// The per-atom relations of `q`, one pool task per atom, in atom order.
+/// Shared with the hypertree and counting engines.
+pub fn atom_relations(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    ctx: &ExecutionContext,
+) -> Result<Vec<Relation>> {
+    ctx.pool()
+        .try_run(&q.atoms, |_, a| atom_relation_governed(a, db, ctx))
+}
+
 /// Precondition checks shared by the entry points; returns the join tree.
 fn prepare(q: &ConjunctiveQuery) -> Result<(Hypergraph, JoinTree)> {
     if !q.is_pure() {
@@ -120,7 +130,8 @@ pub fn is_nonempty(q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
     is_nonempty_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`is_nonempty`] under the resource limits of `ctx`.
+/// [`is_nonempty`] under the resource limits of `ctx`, fanned out on its
+/// pool.
 pub fn is_nonempty_governed(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -130,39 +141,15 @@ pub fn is_nonempty_governed(
         return Ok(true); // vacuous body
     }
     let (_hg, tree) = prepare(q)?;
-    let mut rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
-    for j in tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        if rels[j].is_empty() {
-            return Ok(false);
-        }
-        if let Some(u) = tree.parent(j) {
-            rels[u] = rels[u].semijoin(&rels[j]);
-            ctx.charge_tuples(ENGINE, rels[u].len() as u64)?;
-        }
-    }
-    Ok(!rels[tree.root()].is_empty())
+    let mut rels = atom_relations(q, db, ctx)?;
+    Ok(upward_pass(&tree, &mut rels, ctx, ENGINE)? && !rels[tree.root()].is_empty())
 }
 
 /// The decision problem: `t ∈ Q(d)`?
 pub fn decide(q: &ConjunctiveQuery, db: &Database, t: &Tuple) -> Result<bool> {
-    decide_governed(q, db, t, &ExecutionContext::unlimited())
-}
-
-/// [`decide`] under the resource limits of `ctx`.
-pub fn decide_governed(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    t: &Tuple,
-    ctx: &ExecutionContext,
-) -> Result<bool> {
     match q.bind_head(t)? {
         None => Ok(false),
-        Some(bq) => is_nonempty_governed(&bq, db, ctx),
+        Some(bq) => is_nonempty(&bq, db),
     }
 }
 
@@ -180,10 +167,10 @@ pub fn decide_governed(
 /// assert!(out.contains(&tuple![1, 9]));
 /// ```
 pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
-    evaluate_with_options(q, db, EvalOptions::default())
+    evaluate_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`evaluate`] under the resource limits of `ctx`.
+/// [`evaluate`] under the resource limits of `ctx`, fanned out on its pool.
 pub fn evaluate_governed(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -192,95 +179,70 @@ pub fn evaluate_governed(
     evaluate_with_options_governed(q, db, EvalOptions::default(), ctx)
 }
 
-/// Full evaluation of an acyclic pure CQ, time polynomial in input + output.
-pub fn evaluate_with_options(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    opts: EvalOptions,
-) -> Result<Relation> {
-    evaluate_with_options_governed(q, db, opts, &ExecutionContext::unlimited())
-}
-
-/// [`evaluate_with_options`] under the resource limits of `ctx`: semijoin
-/// passes tick per tree node and charge every intermediate relation they
-/// rebuild, so runaway join phases stop at the budget instead of exhausting
-/// memory.
+/// Full evaluation of an acyclic pure CQ, time polynomial in input + output,
+/// under the resource limits of `ctx`: semijoin passes tick per tree node
+/// and charge every intermediate relation they rebuild, so runaway join
+/// phases stop at the budget instead of exhausting memory.
+///
+/// The passes are scheduled level by level over `ctx.pool()`; the output is
+/// the same relation at every pool degree, and a degree-1 pool runs every
+/// step inline.
 pub fn evaluate_with_options_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     opts: EvalOptions,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    // Safety: head variables must occur in the body.
-    let body_vars: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body_vars.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            ));
-        }
-    }
+    check_head_safety(q)?;
     if q.atoms.is_empty() {
-        // Vacuously true Boolean query (head vars would be unsafe above).
-        let mut out = Relation::new(head_attrs(&q.head_terms))?;
-        out.insert(Tuple::default())?;
-        return Ok(out);
+        return vacuous_output(q);
     }
-
     let (hg, tree) = prepare(q)?;
-    let mut rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
+    let mut rels = atom_relations(q, db, ctx)?;
+    reduce_join_project(q, &hg, &tree, &mut rels, opts.downward_pass, ctx, ENGINE)
+}
 
-    // Upward semijoin pass (full-reducer half 1).
-    for j in tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        if rels[j].is_empty() {
-            return Ok(Relation::new(head_attrs(&q.head_terms))?);
-        }
-        if let Some(u) = tree.parent(j) {
-            rels[u] = rels[u].semijoin(&rels[j]);
-            ctx.charge_tuples(ENGINE, rels[u].len() as u64)?;
-        }
+/// The answer of a query with an empty body: the single empty tuple (head
+/// safety already rules out head variables).
+pub(crate) fn vacuous_output(q: &ConjunctiveQuery) -> Result<Relation> {
+    let mut out = Relation::new(head_attrs(&q.head_terms))?;
+    out.insert(Tuple::default())?;
+    Ok(out)
+}
+
+/// The Yannakakis pipeline over one relation per join-tree node: the full
+/// reducer (upward, then optionally downward semijoins), the bottom-up
+/// output join, and the head projection. Shared with the hypertree engine,
+/// which runs it over its bag hypergraph and bag tree; exhaustion errors
+/// name the caller via `engine`.
+pub(crate) fn reduce_join_project(
+    q: &ConjunctiveQuery,
+    hg: &Hypergraph,
+    tree: &JoinTree,
+    rels: &mut [Relation],
+    downward: bool,
+    ctx: &ExecutionContext,
+    engine: &'static str,
+) -> Result<Relation> {
+    let empty = || Ok(Relation::new(head_attrs(&q.head_terms))?);
+    if !upward_pass(tree, rels, ctx, engine)? || rels[tree.root()].is_empty() {
+        return empty();
     }
-
-    // Downward semijoin pass (full-reducer half 2) — removes dangling tuples.
-    if opts.downward_pass {
-        for j in tree.top_down() {
-            ctx.tick(ENGINE)?;
-            if let Some(u) = tree.parent(j) {
-                rels[j] = rels[j].semijoin(&rels[u]);
-                ctx.charge_tuples(ENGINE, rels[j].len() as u64)?;
-            }
-        }
+    if downward {
+        downward_pass(tree, rels, ctx, engine)?;
     }
-
-    // Output variables Z.
     let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-
-    // Bottom-up join + project: P_u := P_u ⋈ π_{Z_j}(P_j) with
-    // Z_j = (U_j ∩ U_u) ∪ (Z ∩ at(T[j])).
-    for j in tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        let Some(u) = tree.parent(j) else { continue };
-        let zj = zj_vars(&hg, &tree, j, u, &z);
-        let projected = rels[j].project_onto(&zj);
-        rels[u] = rels[u].natural_join(&projected)?;
-        ctx.charge_tuples(ENGINE, (projected.len() + rels[u].len()) as u64)?;
-        if rels[u].is_empty() {
-            return Ok(Relation::new(head_attrs(&q.head_terms))?);
-        }
+    if !output_join(hg, tree, rels, &z, ctx, engine)? {
+        return empty();
     }
 
     // Project the root onto Z and materialize the head terms.
     let z_refs: Vec<&str> = z.iter().map(String::as_str).collect();
     let star = rels[tree.root()].project(&z_refs)?;
     let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    ctx.charge_tuples(ENGINE, star.len() as u64)?;
+    ctx.charge_tuples(engine, star.len() as u64)?;
     for t in star.iter() {
-        ctx.tick(ENGINE)?;
+        ctx.tick(engine)?;
         let vals = q.head_terms.iter().map(|term| match term {
             Term::Const(c) => c.clone(),
             Term::Var(v) => {
@@ -295,15 +257,7 @@ pub fn evaluate_with_options_governed(
 
 /// Variables `Z_j = (U_j ∩ U_u) ∪ (Z ∩ at(T[j]))` kept when the subtree
 /// rooted at `j` is joined into its parent `u` (Section 5's output join).
-/// Shared with the hypertree engine, which runs the same output join over
-/// its bag hypergraph.
-pub(crate) fn zj_vars(
-    hg: &Hypergraph,
-    tree: &JoinTree,
-    j: usize,
-    u: usize,
-    z: &[String],
-) -> Vec<String> {
+fn zj_vars(hg: &Hypergraph, tree: &JoinTree, j: usize, u: usize, z: &[String]) -> Vec<String> {
     let u_j: BTreeSet<&str> = hg.edge(j).iter().map(|&v| hg.label(v)).collect();
     let u_u: BTreeSet<&str> = hg.edge(u).iter().map(|&v| hg.label(v)).collect();
     let subtree: BTreeSet<&str> = tree
@@ -323,65 +277,34 @@ pub(crate) fn zj_vars(
     zj
 }
 
-/// Nodes of `tree` grouped by depth: `levels(t)[0]` is the root, deeper
-/// levels follow. Processing levels deepest-first is a valid bottom-up
-/// schedule (every node's children are reduced one level earlier), and all
-/// semijoins *within* one level touch distinct parents, so they can run
-/// concurrently; that is the schedule the parallel passes below use.
-pub(crate) fn levels(tree: &JoinTree) -> Vec<Vec<usize>> {
-    let mut depth = vec![0usize; tree.num_nodes()];
-    for j in tree.top_down() {
-        if let Some(u) = tree.parent(j) {
-            depth[j] = depth[u] + 1;
-        }
-    }
-    let maxd = depth.iter().copied().max().unwrap_or(0);
-    let mut lv: Vec<Vec<usize>> = vec![Vec::new(); maxd + 1];
-    for (j, &d) in depth.iter().enumerate() {
-        lv[d].push(j);
-    }
-    lv
+/// The parents of one tree level: the nodes of `level` that have children.
+fn parents_of(tree: &JoinTree, level: &[usize]) -> Vec<usize> {
+    level
+        .iter()
+        .copied()
+        .filter(|&u| !tree.children(u).is_empty())
+        .collect()
 }
 
-/// Per-atom relations computed by parallel workers charging one shared
-/// envelope. Output is positionally identical to the serial loop.
-pub(crate) fn parallel_atom_relations(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Vec<Relation>> {
-    pool.try_run(&q.atoms, |_, a| {
-        atom_relation_governed(a, db, &shared.worker())
-    })
-}
-
-/// Bottom-up semijoin pass scheduled level-by-level: every parent of a level
-/// reduces concurrently, applying its children in child order (the same
-/// order the serial post-order visits them, so intermediate relations — and
-/// hence budget charges — are identical). Returns `false` as soon as a
-/// non-root relation empties. A level with a single parent (e.g. every level
-/// of a chain query) instead runs the data-parallel semijoin kernel, which
-/// is byte-identical to the serial one. Shared with the hypertree engine
-/// (which sweeps its bag tree), so exhaustion errors name the caller via
-/// `engine`.
-pub(crate) fn parallel_upward_pass(
+/// Bottom-up semijoin pass scheduled level by level
+/// ([`JoinTree::levels`]): every parent of a level reduces concurrently,
+/// applying its children in child order (the order a serial post-order
+/// visits them, so intermediate relations — and hence budget charges — do
+/// not depend on the pool degree). Returns `false` as soon as a non-root
+/// relation empties. A level with a single parent (e.g. every level of a
+/// chain query) instead runs the data-parallel semijoin kernel, which is
+/// byte-identical to the serial one.
+pub(crate) fn upward_pass(
     tree: &JoinTree,
     rels: &mut [Relation],
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<bool> {
-    let lv = levels(tree);
+    let pool = ctx.pool();
+    let lv = tree.levels();
     for d in (1..lv.len()).rev() {
-        let parents: Vec<usize> = lv[d - 1]
-            .iter()
-            .copied()
-            .filter(|&u| !tree.children(u).is_empty())
-            .collect();
-        if parents.len() == 1 {
-            let u = parents[0];
-            let ctx = shared.worker();
+        let parents = parents_of(tree, &lv[d - 1]);
+        if let [u] = parents[..] {
             for &j in tree.children(u) {
                 ctx.tick(engine)?;
                 if rels[j].is_empty() {
@@ -390,134 +313,105 @@ pub(crate) fn parallel_upward_pass(
                 rels[u] = rels[u].par_semijoin(&rels[j], pool);
                 ctx.charge_tuples(engine, rels[u].len() as u64)?;
             }
-        } else {
-            let snapshot: &[Relation] = rels;
-            let reduced: Vec<(Relation, bool)> = pool.try_run(&parents, |_, &u| {
-                let ctx = shared.worker();
-                let mut cur = snapshot[u].clone();
-                let mut dead = false;
-                for &j in tree.children(u) {
-                    ctx.tick(engine)?;
-                    dead |= snapshot[j].is_empty();
-                    cur = cur.semijoin(&snapshot[j]);
-                    ctx.charge_tuples(engine, cur.len() as u64)?;
-                }
-                Ok::<_, EngineError>((cur, dead))
-            })?;
-            let mut any_dead = false;
-            for (&u, (cur, dead)) in parents.iter().zip(reduced) {
-                any_dead |= dead;
-                rels[u] = cur;
+            continue;
+        }
+        let snapshot: &[Relation] = rels;
+        let reduced: Vec<(Relation, bool)> = pool.try_run(&parents, |_, &u| {
+            // The fold starts from the borrowed parent: no copy of it.
+            let mut cur: Option<Relation> = None;
+            let mut dead = false;
+            for &j in tree.children(u) {
+                ctx.tick(engine)?;
+                dead |= snapshot[j].is_empty();
+                let next = cur.as_ref().unwrap_or(&snapshot[u]).semijoin(&snapshot[j]);
+                ctx.charge_tuples(engine, next.len() as u64)?;
+                cur = Some(next);
             }
-            if any_dead {
-                return Ok(false);
-            }
+            Ok::<_, EngineError>((cur.expect("parents have children"), dead))
+        })?;
+        let mut any_dead = false;
+        for (&u, (cur, dead)) in parents.iter().zip(reduced) {
+            any_dead |= dead;
+            rels[u] = cur;
+        }
+        if any_dead {
+            return Ok(false);
         }
     }
     Ok(true)
 }
 
-/// Top-down semijoin pass, level-by-level: every node of a level reads only
+/// Top-down semijoin pass, level by level: every node of a level reads only
 /// its (already-reduced) parent one level up, so a whole level runs
-/// concurrently. Shared with the hypertree engine.
-pub(crate) fn parallel_downward_pass(
+/// concurrently.
+fn downward_pass(
     tree: &JoinTree,
     rels: &mut [Relation],
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<()> {
-    let lv = levels(tree);
-    for nodes in lv.iter().skip(1) {
-        if nodes.len() == 1 {
-            let j = nodes[0];
+    let pool = ctx.pool();
+    for nodes in tree.levels().iter().skip(1) {
+        if let [j] = nodes[..] {
             let u = tree.parent(j).expect("non-root level");
-            let ctx = shared.worker();
             ctx.tick(engine)?;
             rels[j] = rels[j].par_semijoin(&rels[u], pool);
             ctx.charge_tuples(engine, rels[j].len() as u64)?;
-        } else {
-            let snapshot: &[Relation] = rels;
-            let reduced: Vec<Relation> = pool.try_run(nodes, |_, &j| {
-                let ctx = shared.worker();
-                let u = tree.parent(j).expect("non-root level");
-                ctx.tick(engine)?;
-                let out = snapshot[j].semijoin(&snapshot[u]);
-                ctx.charge_tuples(engine, out.len() as u64)?;
-                Ok::<_, EngineError>(out)
-            })?;
-            for (&j, out) in nodes.iter().zip(reduced) {
-                rels[j] = out;
-            }
+            continue;
+        }
+        let snapshot: &[Relation] = rels;
+        let reduced: Vec<Relation> = pool.try_run(nodes, |_, &j| {
+            let u = tree.parent(j).expect("non-root level");
+            ctx.tick(engine)?;
+            let out = snapshot[j].semijoin(&snapshot[u]);
+            ctx.charge_tuples(engine, out.len() as u64)?;
+            Ok::<_, EngineError>(out)
+        })?;
+        for (&j, out) in nodes.iter().zip(reduced) {
+            rels[j] = out;
         }
     }
     Ok(())
 }
 
-/// [`is_nonempty`] with per-level parallel semijoin sweeps on `pool`, all
-/// workers charging the shared envelope. Same answer (and same budget
-/// charges) as the serial engine at any thread count.
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    if q.atoms.is_empty() {
-        return Ok(true); // vacuous body
-    }
-    let (_hg, tree) = prepare(q)?;
-    let mut rels = parallel_atom_relations(q, db, shared, pool)?;
-    if !parallel_upward_pass(&tree, &mut rels, shared, pool, ENGINE)? {
-        return Ok(false);
-    }
-    Ok(!rels[tree.root()].is_empty())
-}
-
-/// Bottom-up join + project phase scheduled level-by-level (levels join into
-/// distinct parents concurrently). Returns `false` as soon as an
-/// intermediate relation empties — the caller's output is empty. Shared with
-/// the hypertree engine, which runs the identical phase over its bag
-/// hypergraph and bag tree.
-pub(crate) fn parallel_output_join(
+/// Bottom-up join + project, level by level: `P_u := P_u ⋈ π_{Z_j}(P_j)`,
+/// with the parents of one level joining concurrently. Returns `false` as
+/// soon as an intermediate relation empties — the caller's output is empty.
+fn output_join(
     hg: &Hypergraph,
     tree: &JoinTree,
     rels: &mut [Relation],
     z: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<bool> {
-    let lv = levels(tree);
+    let pool = ctx.pool();
+    let lv = tree.levels();
     for d in (1..lv.len()).rev() {
-        let parents: Vec<usize> = lv[d - 1]
-            .iter()
-            .copied()
-            .filter(|&u| !tree.children(u).is_empty())
-            .collect();
-        if parents.len() == 1 {
-            let u = parents[0];
-            let ctx = shared.worker();
+        let parents = parents_of(tree, &lv[d - 1]);
+        if let [u] = parents[..] {
             for &j in tree.children(u) {
                 ctx.tick(engine)?;
-                let zj = zj_vars(hg, tree, j, u, z);
-                let projected = rels[j].project_onto(&zj);
+                let projected = rels[j].project_onto(&zj_vars(hg, tree, j, u, z));
                 rels[u] = rels[u].par_natural_join(&projected, pool)?;
                 ctx.charge_tuples(engine, (projected.len() + rels[u].len()) as u64)?;
             }
         } else {
             let snapshot: &[Relation] = rels;
             let joined: Vec<Relation> = pool.try_run(&parents, |_, &u| {
-                let ctx = shared.worker();
-                let mut cur = snapshot[u].clone();
+                // The fold starts from the borrowed parent: no copy of it.
+                let mut cur: Option<Relation> = None;
                 for &j in tree.children(u) {
                     ctx.tick(engine)?;
-                    let zj = zj_vars(hg, tree, j, u, z);
-                    let projected = snapshot[j].project_onto(&zj);
-                    cur = cur.natural_join(&projected)?;
-                    ctx.charge_tuples(engine, (projected.len() + cur.len()) as u64)?;
+                    let projected = snapshot[j].project_onto(&zj_vars(hg, tree, j, u, z));
+                    let next = cur
+                        .as_ref()
+                        .unwrap_or(&snapshot[u])
+                        .natural_join(&projected)?;
+                    ctx.charge_tuples(engine, (projected.len() + next.len()) as u64)?;
+                    cur = Some(next);
                 }
-                Ok::<_, EngineError>(cur)
+                Ok::<_, EngineError>(cur.expect("parents have children"))
             })?;
             for (&u, cur) in parents.iter().zip(joined) {
                 rels[u] = cur;
@@ -528,77 +422,6 @@ pub(crate) fn parallel_output_join(
         }
     }
     Ok(true)
-}
-
-/// [`evaluate_with_options`] with per-level parallel semijoin sweeps and a
-/// per-level parallel output-join phase. Produces the same relation as the
-/// serial engine at any thread count: the level schedule is a valid
-/// bottom-up order, each parent applies its children in the serial child
-/// order, and single-parent levels use the deterministic data-parallel
-/// kernels.
-pub fn evaluate_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    opts: EvalOptions,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    // Safety: head variables must occur in the body.
-    let body_vars: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body_vars.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            ));
-        }
-    }
-    if q.atoms.is_empty() {
-        let mut out = Relation::new(head_attrs(&q.head_terms))?;
-        out.insert(Tuple::default())?;
-        return Ok(out);
-    }
-
-    let (hg, tree) = prepare(q)?;
-    let mut rels = parallel_atom_relations(q, db, shared, pool)?;
-
-    // Upward semijoin pass (full-reducer half 1).
-    if !parallel_upward_pass(&tree, &mut rels, shared, pool, ENGINE)? {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-    if rels[tree.root()].is_empty() {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-
-    // Downward semijoin pass (full-reducer half 2).
-    if opts.downward_pass {
-        parallel_downward_pass(&tree, &mut rels, shared, pool, ENGINE)?;
-    }
-
-    // Bottom-up join + project, level-by-level; levels join into distinct
-    // parents concurrently.
-    let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    if !parallel_output_join(&hg, &tree, &mut rels, &z, shared, pool, ENGINE)? {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-
-    // Project the root onto Z and materialize the head terms.
-    let ctx = shared.worker();
-    let z_refs: Vec<&str> = z.iter().map(String::as_str).collect();
-    let star = rels[tree.root()].project(&z_refs)?;
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    ctx.charge_tuples(ENGINE, star.len() as u64)?;
-    for t in star.iter() {
-        ctx.tick(ENGINE)?;
-        let vals = q.head_terms.iter().map(|term| match term {
-            Term::Const(c) => c.clone(),
-            Term::Var(v) => {
-                let pos = star.attr_pos(v).expect("head var in Z");
-                t[pos].clone()
-            }
-        });
-        out.insert(Tuple::new(vals))?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -699,20 +522,23 @@ mod tests {
     fn skipping_downward_pass_is_still_correct() {
         let q = parse_cq("G(x, w) :- R(x, y), S(y, z), T(z, w).").unwrap();
         let db = chain_db();
-        let with = evaluate_with_options(
+        let ctx = ExecutionContext::unlimited();
+        let with = evaluate_with_options_governed(
             &q,
             &db,
             EvalOptions {
                 downward_pass: true,
             },
+            &ctx,
         )
         .unwrap();
-        let without = evaluate_with_options(
+        let without = evaluate_with_options_governed(
             &q,
             &db,
             EvalOptions {
                 downward_pass: false,
             },
+            &ctx,
         )
         .unwrap();
         assert_eq!(with, without);

@@ -1,10 +1,11 @@
 //! `pq-exec`: a std-only structured-parallelism runtime for intra-query
 //! execution.
 //!
-//! Every engine in `pq-engine` is single-threaded by construction; the
-//! service layer above parallelizes *across* queries. This crate supplies the
-//! missing axis — parallelism *inside* one query — without pulling in a
-//! threadpool dependency: all concurrency is [`std::thread::scope`]d, so
+//! The service layer parallelizes *across* queries; this crate supplies the
+//! other axis — parallelism *inside* one query. Every engine in `pq-engine`
+//! fans its independent work out on the [`Pool`] carried by its execution
+//! context, and a degree-1 pool runs that same code inline. No threadpool
+//! dependency is pulled in: all concurrency is [`std::thread::scope`]d, so
 //! worker lifetimes are bounded by the call that spawned them and panics
 //! propagate to the caller instead of getting lost on a detached thread.
 //!
@@ -22,6 +23,11 @@
 //! item index*, mirroring what a sequential scan of the same items would
 //! decide.
 //!
+//! A pool call made *inside* a pool worker runs inline on that worker: the
+//! outer call already occupies the configured degree, so nesting (a Datalog
+//! round whose rule jobs each run a chunked search, say) never multiplies
+//! the thread count.
+//!
 //! The pool is deliberately **not** a queue of background threads: threads
 //! are spawned per call and joined before the call returns. For the
 //! coarse-grained items this workspace schedules (a hash-join partition, a
@@ -29,9 +35,15 @@
 //! what make it safe to capture `&Relation` and friends without `Arc`ing
 //! the world.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+thread_local! {
+    /// Set on threads spawned by a pool call, so nested calls run inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Environment variable consulted by [`default_threads`] (and therefore by
 /// every component that sizes itself "from the environment"): set
@@ -135,6 +147,13 @@ impl<'a> Occupied<'a> {
         inner.enter();
         Occupied(inner)
     }
+
+    /// Occupancy for a spawned worker thread, which also marks the thread so
+    /// pool calls nested inside it run inline.
+    fn worker(inner: &'a PoolInner) -> Self {
+        IN_WORKER.with(|w| w.set(true));
+        Occupied::new(inner)
+    }
 }
 
 impl Drop for Occupied<'_> {
@@ -178,8 +197,19 @@ impl Pool {
     }
 
     /// The configured parallelism degree.
+    #[inline]
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Threads to spawn for `n` items: at most the degree, and none (run
+    /// inline) when already on a worker of some pool call.
+    fn workers(&self, n: usize) -> usize {
+        if IN_WORKER.with(Cell::get) {
+            1
+        } else {
+            self.threads.min(n)
+        }
     }
 
     /// Snapshot the occupancy counters.
@@ -204,7 +234,7 @@ impl Pool {
         F: Fn(usize, &I) -> O + Sync,
     {
         let n = items.len();
-        let workers = self.threads.min(n);
+        let workers = self.workers(n);
         if workers <= 1 {
             let _occ = Occupied::new(&self.inner);
             self.inner.tasks_run.fetch_add(n as u64, Ordering::Relaxed);
@@ -215,7 +245,7 @@ impl Pool {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
-                        let _occ = Occupied::new(&self.inner);
+                        let _occ = Occupied::worker(&self.inner);
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -254,7 +284,7 @@ impl Pool {
         F: Fn(usize, &I) -> Result<O, E> + Sync,
     {
         let n = items.len();
-        let workers = self.threads.min(n);
+        let workers = self.workers(n);
         if workers <= 1 {
             let _occ = Occupied::new(&self.inner);
             let mut out = Vec::with_capacity(n);
@@ -275,7 +305,7 @@ impl Pool {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
-                        let _occ = Occupied::new(&self.inner);
+                        let _occ = Occupied::worker(&self.inner);
                         let mut local = Vec::new();
                         let mut err: Option<(usize, E)> = None;
                         loop {
@@ -336,7 +366,7 @@ impl Pool {
         F: Fn(usize, &I) -> Verdict<O, E> + Sync,
     {
         let n = items.len();
-        let workers = self.threads.min(n);
+        let workers = self.workers(n);
         if workers <= 1 {
             let _occ = Occupied::new(&self.inner);
             for (i, it) in items.iter().enumerate() {
@@ -355,7 +385,7 @@ impl Pool {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
-                        let _occ = Occupied::new(&self.inner);
+                        let _occ = Occupied::worker(&self.inner);
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -535,6 +565,23 @@ mod tests {
             assert_eq!(covered, len);
             assert!(m.len() <= tasks.max(1));
         }
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_worker() {
+        let pool = Pool::new(4);
+        let items: Vec<usize> = (0..8).collect();
+        let got = pool.run(&items, |_, &x| {
+            let outer = std::thread::current().id();
+            let inner = pool.run(&items, |_, &y| (std::thread::current().id(), x * 10 + y));
+            assert!(
+                inner.iter().all(|(id, _)| *id == outer),
+                "nested call spawned"
+            );
+            inner.into_iter().map(|(_, v)| v).sum::<usize>()
+        });
+        let want: Vec<usize> = items.iter().map(|x| x * 80 + 28).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -91,6 +91,27 @@ impl JoinTree {
         order
     }
 
+    /// Nodes grouped by depth: `levels()[0]` is `[root]`, deeper levels
+    /// follow, each in ascending node order. Processing levels deepest-first
+    /// is a valid bottom-up schedule (every node's children sit one level
+    /// deeper), and the nodes of one level have disjoint subtrees, so the
+    /// level-scheduled sweeps of the evaluation and counting engines process
+    /// each level's nodes concurrently.
+    pub fn levels(&self) -> Vec<Vec<usize>> {
+        let mut depth = vec![0usize; self.num_nodes()];
+        for n in self.top_down() {
+            if let Some(u) = self.parent[n] {
+                depth[n] = depth[u] + 1;
+            }
+        }
+        let max_depth = depth.iter().copied().max().unwrap_or(0);
+        let mut lv = vec![Vec::new(); max_depth + 1];
+        for (n, &d) in depth.iter().enumerate() {
+            lv[d].push(n);
+        }
+        lv
+    }
+
     /// The nodes of the subtree `T[n]` rooted at `n` (including `n`).
     pub fn subtree_nodes(&self, n: usize) -> Vec<usize> {
         let mut out = Vec::new();
@@ -176,6 +197,14 @@ mod tests {
         s.sort();
         assert_eq!(s, vec![1, 3]);
         assert_eq!(t.children(0), &[1, 2]);
+    }
+
+    #[test]
+    fn levels_group_by_depth() {
+        // 1 -> 0 <- 2, 3 -> 1  (root 0)
+        let t = JoinTree::from_parents(vec![None, Some(0), Some(0), Some(1)]);
+        assert_eq!(t.levels(), vec![vec![0], vec![1, 2], vec![3]]);
+        assert_eq!(path_tree().levels(), vec![vec![2], vec![1], vec![0]]);
     }
 
     #[test]

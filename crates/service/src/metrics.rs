@@ -103,7 +103,7 @@ pub struct ServiceMetrics {
     pub mutations: AtomicU64,
     /// Databases dropped from the catalog (`DROP`).
     pub drops: AtomicU64,
-    /// Evaluations that took the intra-query parallel path.
+    /// Evaluations whose governor carried the intra-query exec pool.
     pub parallel_queries: AtomicU64,
     /// `@count` / `@count_by` requests answered successfully (also counted
     /// in [`ServiceMetrics::queries_served`]).
@@ -237,7 +237,7 @@ pub struct MetricsSnapshot {
     pub mutations: u64,
     /// Databases dropped from the catalog.
     pub drops: u64,
-    /// Evaluations that took the intra-query parallel path.
+    /// Evaluations whose governor carried the intra-query exec pool.
     pub parallel_queries: u64,
     /// `@count` / `@count_by` requests answered successfully.
     pub count_queries: u64,

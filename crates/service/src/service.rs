@@ -104,8 +104,8 @@ pub struct ServiceConfig {
     /// Worker threads evaluating admitted jobs (inter-query parallelism).
     pub workers: usize,
     /// Intra-query parallelism degree: the size of the [`Pool`] each worker
-    /// hands to the engines' parallel paths. `1` keeps evaluation fully
-    /// serial (the pre-parallel behavior). Independent of [`workers`]:
+    /// attaches to a job's execution context for the engines to fan out
+    /// on. `1` keeps evaluation on the worker thread. Independent of [`workers`]:
     /// `workers` bounds how many queries run at once, this bounds how many
     /// threads each of them may use. Their product is capped by
     /// [`MAX_TOTAL_THREADS`].
@@ -1827,34 +1827,32 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, inner: &Inner) {
             Err(_) => return,
         };
         let Ok(job) = job else { return };
-        // Intra-query parallel path: when both the service knob and the
-        // plan's recommended degree exceed 1, move the request limits into a
-        // shared envelope and fan the evaluation out on the exec pool. The
-        // engines' parallel paths produce the same relation (or the same
-        // exact count) as the serial ones at any degree, so this choice is
-        // invisible to the caller (except in STATS).
+        // Intra-query parallelism: when both the service knob and the plan's
+        // recommended degree exceed 1, the job's governor carries the exec
+        // pool and the engines fan out on it. The answer (or exact count) is
+        // the same at any degree, so this choice is invisible to the caller
+        // (except in STATS).
+        let parallelism = match &job.work {
+            JobWork::Evaluate(planned) => planned.plan.parallelism,
+            JobWork::Count(planned, _) => planned.plan.parallelism,
+        };
+        let ctx = if inner.exec.threads() > 1 && parallelism > 1 {
+            ServiceMetrics::bump(&inner.metrics.parallel_queries);
+            job.ctx.with_pool(inner.exec.clone())
+        } else {
+            job.ctx
+        };
+        let db = &job.snapshot.db;
         let out = match &job.work {
             JobWork::Evaluate(planned) => {
-                let parallel = inner.exec.threads() > 1 && planned.plan.parallelism > 1;
                 if let EngineChoice::Hypertree(d) = &planned.plan.choice {
                     inner.metrics.record_hypertree_width(d.width());
                 }
-                let out = if parallel {
-                    ServiceMetrics::bump(&inner.metrics.parallel_queries);
-                    let shared = job.ctx.into_shared();
-                    planned.plan.execute_parallel(
-                        &planned.query,
-                        &job.snapshot.db,
-                        &shared,
-                        &inner.exec,
-                    )
-                } else {
-                    planned
-                        .plan
-                        .execute_governed(&planned.query, &job.snapshot.db, &job.ctx)
-                }
-                .map(Arc::new)
-                .map_err(ServiceError::from);
+                let out = planned
+                    .plan
+                    .execute_governed(&planned.query, db, &ctx)
+                    .map(Arc::new)
+                    .map_err(ServiceError::from);
                 if let Ok(rows) = &out {
                     let key = result_key(planned, &job.snapshot);
                     inner.result_cache.insert(key, Arc::clone(rows));
@@ -1862,46 +1860,18 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, inner: &Inner) {
                 out
             }
             JobWork::Count(planned, mode) => {
-                let parallel = inner.exec.threads() > 1 && planned.plan.parallelism > 1;
                 if let CountChoice::Hypertree(d) = &planned.plan.choice {
                     inner.metrics.record_hypertree_width(d.width());
                 }
-                if parallel {
-                    ServiceMetrics::bump(&inner.metrics.parallel_queries);
-                }
                 let out = match mode {
-                    CountMode::Total => if parallel {
-                        let shared = job.ctx.into_shared();
-                        planned.plan.execute_parallel(
-                            &planned.query,
-                            &job.snapshot.db,
-                            &shared,
-                            &inner.exec,
-                        )
-                    } else {
-                        planned
-                            .plan
-                            .execute_governed(&planned.query, &job.snapshot.db, &job.ctx)
-                    }
-                    .and_then(|c| count_relation(&c)),
-                    CountMode::Grouped(groups) => if parallel {
-                        let shared = job.ctx.into_shared();
-                        planned.plan.execute_by_parallel(
-                            &planned.query,
-                            &job.snapshot.db,
-                            groups,
-                            &shared,
-                            &inner.exec,
-                        )
-                    } else {
-                        planned.plan.execute_by_governed(
-                            &planned.query,
-                            &job.snapshot.db,
-                            groups,
-                            &job.ctx,
-                        )
-                    }
-                    .and_then(|counted| counted.to_relation("count")),
+                    CountMode::Total => planned
+                        .plan
+                        .execute_governed(&planned.query, db, &ctx)
+                        .and_then(|c| count_relation(&c)),
+                    CountMode::Grouped(groups) => planned
+                        .plan
+                        .execute_by_governed(&planned.query, db, groups, &ctx)
+                        .and_then(|counted| counted.to_relation("count")),
                 }
                 .map(Arc::new)
                 .map_err(ServiceError::from);
@@ -2305,8 +2275,8 @@ mod tests {
             "parallel evaluations must schedule pool tasks"
         );
         assert!(s.exec_peak_active >= 1);
-        // Budget errors surface identically on the parallel path (clear the
-        // result cache so the probe actually evaluates).
+        // Budget errors surface identically with the pool attached (clear
+        // the result cache so the probe actually evaluates).
         parallel.clear_caches();
         let err = parallel
             .query(

@@ -1,6 +1,7 @@
 //! Resource limits & graceful degradation: evaluate under a deadline, a
-//! tuple budget, and cancellation, and watch the planner's fallback chain
-//! recover from an engine that gives up.
+//! tuple budget, and cancellation — on one thread or fanned out on a pool
+//! under the same governor — and watch the planner's fallback chain recover
+//! from an engine that gives up.
 //!
 //! Run with: `cargo run --release --example resource_limits`
 
@@ -20,7 +21,7 @@ fn main() {
         .unwrap();
     let q = parse_cq("G(x, z) :- E(x, y), E(y, z).").unwrap();
 
-    // 1. Unlimited: the ungoverned entry point, as before.
+    // 1. Unlimited: the ungoverned entry point.
     let full = naive::evaluate(&q, &db).unwrap();
     println!("unlimited:     {} answer tuples", full.len());
 
@@ -37,7 +38,21 @@ fn main() {
     );
     assert_eq!(full, same);
 
-    // 3. A tuple budget smaller than the answer: structured failure, not a
+    // 3. The same kind of governor carrying a 4-thread pool: every worker
+    //    charges its one budget and deadline, and the answer is identical.
+    let wide = ExecutionContext::new()
+        .with_tuple_budget(1_000_000)
+        .with_pool(pq_exec::Pool::new(4));
+    let par = naive::evaluate_governed(&q, &db, &wide).unwrap();
+    println!(
+        "4 threads:     {} answer tuples ({} tuples charged)",
+        par.len(),
+        wide.tuples_materialized()
+    );
+    assert_eq!(full, par);
+    assert_eq!(wide.tuples_materialized(), roomy.tuples_materialized());
+
+    // 4. A tuple budget smaller than the answer: structured failure, not a
     //    truncated relation.
     let tight = ExecutionContext::new().with_tuple_budget(100);
     match naive::evaluate_governed(&q, &db, &tight) {
@@ -47,12 +62,12 @@ fn main() {
         other => panic!("expected exhaustion, got {other:?}"),
     }
 
-    // 4. An already-expired deadline.
+    // 5. An already-expired deadline.
     let expired = ExecutionContext::new().with_deadline(Duration::ZERO);
     let err = naive::evaluate_governed(&q, &db, &expired).unwrap_err();
     println!("zero deadline: {err}");
 
-    // 5. Cooperative cancellation (here: cancelled up front; in real use,
+    // 6. Cooperative cancellation (here: cancelled up front; in real use,
     //    another thread flips the token mid-evaluation).
     let token = CancellationToken::new();
     token.cancel();
@@ -60,7 +75,7 @@ fn main() {
     let err = naive::evaluate_governed(&q, &db, &cancelled).unwrap_err();
     println!("cancelled:     {err}");
 
-    // 6. The planner's graceful degradation: a cyclic (W[1]-hard) query is
+    // 7. The planner's graceful degradation: a cyclic (W[1]-hard) query is
     //    Unsupported by the structure-exploiting engines; the fallback chain
     //    records each attempt and lands on an engine that can answer it.
     let mut tri = Database::new();

@@ -17,8 +17,8 @@ use pq_engine::ExecutionContext;
 use pq_exec::Pool;
 use pq_query::{parse_cq, ConjunctiveQuery};
 
-/// Exec-pool widths the oracle sweeps: 1 exercises the serial path inside
-/// the parallel entry points, 4 exercises real fan-out.
+/// Exec-pool widths the oracle sweeps: 1 runs every task inline, 4
+/// exercises real fan-out.
 const DEGREES: [usize; 2] = [1, 4];
 
 /// A random chain-join instance: `L` binary relations `R0 … R{L-1}` joined
@@ -86,6 +86,11 @@ fn enumerated(q: &ConjunctiveQuery, db: &Database) -> Relation {
     naive::evaluate(q, db).unwrap()
 }
 
+/// An unlimited context fanning out on a pool of `threads`.
+fn on_pool(threads: usize) -> ExecutionContext {
+    ExecutionContext::new().with_pool(Pool::new(threads))
+}
+
 /// Check the whole counting surface of one instance against the
 /// enumeration oracle: total counts (governed and parallel at every
 /// degree) and grouped counts over `groups`.
@@ -102,10 +107,7 @@ fn check_instance(q: &ConjunctiveQuery, db: &Database, groups: &[String]) {
     );
     assert!(serial.assignments >= serial.distinct);
     for threads in DEGREES {
-        let pool = Pool::new(threads);
-        let par = plan
-            .execute_parallel(q, db, &ExecutionContext::unlimited().into_shared(), &pool)
-            .unwrap();
+        let par = plan.execute_governed(q, db, &on_pool(threads)).unwrap();
         assert_eq!(par, serial, "parallel count drifted at {threads} threads");
     }
     if groups.is_empty() {
@@ -144,15 +146,8 @@ fn check_instance(q: &ConjunctiveQuery, db: &Database, groups: &[String]) {
         "grouped counts != enumerate-then-count group-by"
     );
     for threads in DEGREES {
-        let pool = Pool::new(threads);
         let par = plan
-            .execute_by_parallel(
-                q,
-                db,
-                groups,
-                &ExecutionContext::unlimited().into_shared(),
-                &pool,
-            )
+            .execute_by_governed(q, db, groups, &on_pool(threads))
             .unwrap();
         assert_eq!(
             par.to_relation("count").unwrap().canonical_rows(),
@@ -229,9 +224,8 @@ fn overflow_is_a_typed_error_never_a_wrapped_count() {
     assert!(err.is_overflow(), "governed count: {err:?}");
 
     for threads in DEGREES {
-        let pool = Pool::new(threads);
         let err = plan
-            .execute_parallel(&q, &db, &ExecutionContext::unlimited().into_shared(), &pool)
+            .execute_governed(&q, &db, &on_pool(threads))
             .unwrap_err();
         assert!(err.is_overflow(), "parallel count at {threads}: {err:?}");
     }

@@ -169,7 +169,7 @@ proptest! {
     /// their fallback recomputes must be invisible to the caller at any
     /// exec-pool width.
     #[test]
-    fn maintained_views_match_recompute_in_parallel(
+    fn maintained_views_match_recompute_on_a_four_thread_pool(
         r in arb_rows(),
         s in arb_rows(),
         e in arb_rows(),

@@ -1,7 +1,8 @@
-//! Parallel execution is *deterministic*: every parallel engine returns
-//! byte-identical output at 1, 2, and 8 threads — including the planner's
-//! parallel dispatch — and when a shared budget is exhausted or the run is
-//! cancelled, the error kind matches the serial engine's.
+//! Parallel execution is *deterministic*: every engine's one entry point
+//! returns byte-identical output whether its execution context carries a
+//! pool of 1, 2, 4 or 8 threads — including the planner's dispatch — and
+//! when the shared budget is exhausted, the depth limit is hit, or the run
+//! is cancelled, the error kind matches the degree-1 (serial) run's.
 //!
 //! Each engine earns determinism differently (morsel order for the naive
 //! engines, a level schedule for Yannakakis, fixed trial batches for color
@@ -11,16 +12,15 @@ use pq_core::{plan, PlannerOptions};
 use pq_data::{tuple, Database, Relation};
 use pq_engine::colorcoding::{self, ColorCodingOptions};
 use pq_engine::datalog_eval::{self, Strategy};
-use pq_engine::governor::SharedContext;
 use pq_engine::{naive, naive_indexed, yannakakis};
 use pq_engine::{CancellationToken, EngineError, ExecutionContext, ResourceKind};
 use pq_exec::Pool;
 use pq_query::{parse_cq, parse_datalog};
 
-/// Thread counts the suite sweeps. 1 exercises the serial fallback inside
-/// each parallel entry point; 2 and 8 exercise real fan-out (8 > the
-/// container's core count, so workers interleave adversarially).
-const DEGREES: [usize; 3] = [1, 2, 8];
+/// Pool degrees the suite sweeps. 1 runs every task inline on the caller;
+/// 2, 4 and 8 exercise real fan-out (8 exceeds the core count of a small
+/// machine, so workers interleave adversarially).
+const DEGREES: [usize; 4] = [1, 2, 4, 8];
 
 fn graph_db() -> Database {
     let mut db = Database::new();
@@ -74,8 +74,9 @@ fn rendered(r: &Relation) -> String {
     lines.join("\n")
 }
 
-fn fresh_shared() -> SharedContext {
-    ExecutionContext::unlimited().into_shared()
+/// A fresh unlimited context fanning out on a pool of `threads`.
+fn on_pool(threads: usize) -> ExecutionContext {
+    ExecutionContext::new().with_pool(Pool::new(threads))
 }
 
 fn kind_of(e: &EngineError) -> ResourceKind {
@@ -93,37 +94,28 @@ fn every_parallel_engine_is_byte_identical_across_thread_counts() {
     let neq = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
     let cc_opts = ColorCodingOptions::default();
 
-    // (name, serial baseline, parallel runner at a given pool).
-    type Runner<'a> = Box<dyn Fn(&Pool) -> Relation + 'a>;
+    // (name, serial baseline, runner at a given pool degree).
+    type Runner<'a> = Box<dyn Fn(usize) -> Relation + 'a>;
     let cases: Vec<(&str, Relation, Runner)> = vec![
         (
             "naive/triangle",
             naive::evaluate(&triangle, &db).unwrap(),
-            Box::new(|pool| {
-                naive::evaluate_parallel(&triangle, &db, &fresh_shared(), pool).unwrap()
-            }),
+            Box::new(|t| naive::evaluate_governed(&triangle, &db, &on_pool(t)).unwrap()),
         ),
         (
             "naive_indexed/triangle",
             naive_indexed::evaluate(&triangle, &db).unwrap(),
-            Box::new(|pool| {
-                naive_indexed::evaluate_parallel(&triangle, &db, &fresh_shared(), pool).unwrap()
-            }),
+            Box::new(|t| naive_indexed::evaluate_governed(&triangle, &db, &on_pool(t)).unwrap()),
         ),
         (
             "yannakakis/path",
             yannakakis::evaluate(&path, &db).unwrap(),
-            Box::new(|pool| {
-                yannakakis::evaluate_parallel(&path, &db, Default::default(), &fresh_shared(), pool)
-                    .unwrap()
-            }),
+            Box::new(|t| yannakakis::evaluate_governed(&path, &db, &on_pool(t)).unwrap()),
         ),
         (
             "colorcoding/neq",
             colorcoding::evaluate(&neq, &db, &cc_opts).unwrap(),
-            Box::new(|pool| {
-                colorcoding::evaluate_parallel(&neq, &db, &cc_opts, &fresh_shared(), pool).unwrap()
-            }),
+            Box::new(|t| colorcoding::evaluate_governed(&neq, &db, &cc_opts, &on_pool(t)).unwrap()),
         ),
     ];
 
@@ -131,7 +123,7 @@ fn every_parallel_engine_is_byte_identical_across_thread_counts() {
         let baseline = rendered(serial);
         assert!(!serial.is_empty(), "{name}: workload is degenerate");
         for threads in DEGREES {
-            let out = run(&Pool::new(threads));
+            let out = run(threads);
             assert_eq!(*serial, out, "{name} differs at {threads} threads");
             assert_eq!(
                 baseline,
@@ -151,9 +143,8 @@ fn parallel_datalog_reaches_the_serial_fixpoint_at_every_degree() {
         assert!(!serial.is_empty());
         let baseline = rendered(&serial);
         for threads in DEGREES {
-            let pool = Pool::new(threads);
-            let out = datalog_eval::evaluate_parallel(&tc, &db, strategy, &fresh_shared(), &pool)
-                .unwrap();
+            let out =
+                datalog_eval::evaluate_governed(&tc, &db, strategy, &on_pool(threads)).unwrap();
             assert_eq!(
                 baseline,
                 rendered(&out),
@@ -181,16 +172,14 @@ fn planner_parallel_dispatch_is_byte_identical_across_thread_counts() {
         let serial = p.execute(&q, &db).unwrap();
         let baseline = rendered(&serial);
         for threads in DEGREES {
-            let pool = Pool::new(threads);
-            let out = p.execute_parallel(&q, &db, &fresh_shared(), &pool).unwrap();
+            let out = p.execute_governed(&q, &db, &on_pool(threads)).unwrap();
             assert_eq!(
                 baseline,
                 rendered(&out),
                 "{src} differs at {threads} threads"
             );
             assert_eq!(
-                p.is_nonempty_parallel(&q, &db, &fresh_shared(), &pool)
-                    .unwrap(),
+                p.is_nonempty_governed(&q, &db, &on_pool(threads)).unwrap(),
                 !serial.is_empty(),
                 "{src} emptiness differs at {threads} threads"
             );
@@ -198,9 +187,9 @@ fn planner_parallel_dispatch_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// Shared-budget exhaustion surfaces the *same error kind* as the serial
-/// governor at every thread count — the parallel path must not turn a
-/// budget trip into a different failure (or worse, a partial answer).
+/// Shared-budget exhaustion and the recursion-depth limit surface the *same
+/// error kind* as the serial run at every thread count — fan-out must not
+/// turn a trip into a different failure (or worse, a partial answer).
 #[test]
 fn budget_exhaustion_matches_serial_error_kind_at_every_degree() {
     let db = graph_db();
@@ -218,14 +207,13 @@ fn budget_exhaustion_matches_serial_error_kind_at_every_degree() {
     assert_eq!(serial_kind, ResourceKind::TupleBudget);
 
     for threads in DEGREES {
-        let pool = Pool::new(threads);
-        let budget = || ExecutionContext::new().with_tuple_budget(2).into_shared();
-        let e = naive::evaluate_parallel(&triangle, &db, &budget(), &pool).unwrap_err();
+        let budget = || on_pool(threads).with_tuple_budget(2);
+        let e = naive::evaluate_governed(&triangle, &db, &budget()).unwrap_err();
         assert_eq!(kind_of(&e), serial_kind, "naive at {threads} threads");
-        let e = naive_indexed::evaluate_parallel(&triangle, &db, &budget(), &pool).unwrap_err();
+        let e = naive_indexed::evaluate_governed(&triangle, &db, &budget()).unwrap_err();
         assert_eq!(kind_of(&e), serial_kind, "indexed at {threads} threads");
-        let e = datalog_eval::evaluate_parallel(&tc, &db, Strategy::SemiNaive, &budget(), &pool)
-            .unwrap_err();
+        let e =
+            datalog_eval::evaluate_governed(&tc, &db, Strategy::SemiNaive, &budget()).unwrap_err();
         assert_eq!(kind_of(&e), serial_kind, "datalog at {threads} threads");
     }
 
@@ -237,11 +225,32 @@ fn budget_exhaustion_matches_serial_error_kind_at_every_degree() {
             .unwrap_err(),
     );
     for threads in DEGREES {
-        let pool = Pool::new(threads);
-        let shared = ExecutionContext::new().with_tuple_budget(1).into_shared();
-        let e = yannakakis::evaluate_parallel(&path, &db, Default::default(), &shared, &pool)
-            .unwrap_err();
+        let ctx = on_pool(threads).with_tuple_budget(1);
+        let e = yannakakis::evaluate_governed(&path, &db, &ctx).unwrap_err();
         assert_eq!(kind_of(&e), serial_kind, "yannakakis at {threads} threads");
+    }
+
+    // Depth is an explicit argument of the recursive search, so every
+    // chunk counts it from its own first atom: the K7 clique query (21
+    // atoms, too wide for any join-based engine) needs far more levels
+    // than the limit allows, at every degree.
+    let mut atoms = Vec::new();
+    for i in 0..7 {
+        for j in (i + 1)..7 {
+            atoms.push(format!("E(v{i}, v{j})"));
+        }
+    }
+    let k7 = parse_cq(&format!("G :- {}.", atoms.join(", "))).unwrap();
+    let shallow = |threads| on_pool(threads).with_max_depth(2);
+    let serial_kind = kind_of(&naive::evaluate_governed(&k7, &db, &shallow(1)).unwrap_err());
+    assert_eq!(serial_kind, ResourceKind::DepthLimit);
+    for threads in DEGREES {
+        let e = naive::evaluate_governed(&k7, &db, &shallow(threads)).unwrap_err();
+        assert_eq!(
+            kind_of(&e),
+            serial_kind,
+            "naive K7 depth at {threads} threads"
+        );
     }
 }
 
@@ -263,8 +272,8 @@ fn cancellation_and_deadline_match_serial_error_kind_at_every_degree() {
 
     // The governor polls cancellation/clock every `TICKS_PER_CLOCK_CHECK`
     // cumulative ticks, so each workload must be big enough that the
-    // *serial* engine provably trips — that serial baseline is what the
-    // parallel paths are held to.
+    // degree-1 run provably trips — that serial baseline is what every
+    // other degree is held to.
     let dense = dense_db(120);
     let mut ep_db = Database::new();
     let mut ep = Vec::new();
@@ -291,30 +300,23 @@ fn cancellation_and_deadline_match_serial_error_kind_at_every_degree() {
     assert_eq!(serial_timeout, ResourceKind::Timeout);
 
     for threads in DEGREES {
-        let pool = Pool::new(threads);
-        let e = naive::evaluate_parallel(&triangle, &dense, &cancelled().into_shared(), &pool)
+        let pool = || Pool::new(threads);
+        let e = naive::evaluate_governed(&triangle, &dense, &cancelled().with_pool(pool()))
             .unwrap_err();
         assert_eq!(kind_of(&e), serial_cancel, "naive cancel at {threads}");
-        let e =
-            naive_indexed::evaluate_parallel(&triangle, &dense, &cancelled().into_shared(), &pool)
-                .unwrap_err();
+        let e = naive_indexed::evaluate_governed(&triangle, &dense, &cancelled().with_pool(pool()))
+            .unwrap_err();
         assert_eq!(kind_of(&e), serial_cancel, "indexed cancel at {threads}");
-        let e = colorcoding::evaluate_parallel(
-            &neq,
-            &ep_db,
-            &cc_opts,
-            &cancelled().into_shared(),
-            &pool,
-        )
-        .unwrap_err();
+        let ctx = cancelled().with_pool(pool());
+        let e = colorcoding::evaluate_governed(&neq, &ep_db, &cc_opts, &ctx).unwrap_err();
         assert_eq!(
             kind_of(&e),
             serial_cancel,
             "colorcoding cancel at {threads}"
         );
 
-        let e = naive::evaluate_parallel(&triangle, &dense, &expired().into_shared(), &pool)
-            .unwrap_err();
+        let e =
+            naive::evaluate_governed(&triangle, &dense, &expired().with_pool(pool())).unwrap_err();
         assert_eq!(kind_of(&e), serial_timeout, "naive deadline at {threads}");
     }
 }
